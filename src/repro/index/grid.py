@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
+from typing import Iterator
 
 import numpy as np
 
@@ -26,6 +27,21 @@ from repro.geometry.distance import sq_dists_to_point
 from repro.instrumentation.counters import Counters
 
 __all__ = ["UniformGrid", "CenterGrid"]
+
+#: grid cells per super-cell edge: :meth:`CenterGrid.gather` groups
+#: points at this coarser resolution so each gathered candidate set is
+#: shared by enough rows to amortise its Python-level overhead
+_SUPER = 4
+_SUPER_SHIFT = 2  # arithmetic shift = floor division by _SUPER
+
+#: cell coordinates are clamped to ±this before the int64 cast, so a
+#: query at 1e300 (or ±inf) still gets a valid, far-away cell; clamping
+#: is 1-Lipschitz, so it never shrinks a cell-distance bound
+_COORD_LIMIT = float(2**52)
+
+#: element budget of the (super-cells x occupied cells x d) window test
+#: in one :meth:`CenterGrid.gather` chunk
+_WINDOW_ELEMS = 4_000_000
 
 
 class UniformGrid:
@@ -154,7 +170,9 @@ class CenterGrid:
     and, per block of scan points, gathers every center whose ε-box a
     search ball could touch — a conservative superset shortlist, exactly
     like the first-level R-tree's role, but answerable for a whole block
-    with array ops instead of one Python tree walk per point.
+    with array ops instead of one Python tree walk per point.  Serving
+    builds one over a fitted model's centers and routes whole query
+    batches through the same :meth:`gather`.
 
     Unlike :class:`UniformGrid` (fixed point set, built once), this
     structure grows: ``insert()`` buckets new centers by cell, and the
@@ -191,7 +209,13 @@ class CenterGrid:
         ring absorbs.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return np.floor((pts - self.origin) / self.cell_width).astype(np.int64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cells = np.floor((pts - self.origin) / self.cell_width)
+        # NaN rows get cell 0: every distance from them is NaN, so no
+        # caller's strict test can ever accept a candidate they gather
+        np.nan_to_num(cells, copy=False, nan=0.0)
+        np.clip(cells, -_COORD_LIMIT, _COORD_LIMIT, out=cells)
+        return cells.astype(np.int64)
 
     def insert(self, first_id: int, centers: np.ndarray) -> None:
         """Bucket centers ``first_id .. first_id + k - 1`` by cell."""
@@ -219,3 +243,51 @@ class CenterGrid:
                 self._occ_coords = np.empty((0, self.dim), dtype=np.int64)
                 self._occ_buckets = []
         return self._occ_coords, self._occ_buckets
+
+    def gather(
+        self, points: np.ndarray, reach: int
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Group ``points`` by super-cell and yield ``(rows, ids)`` per
+        group: the ``points`` rows hashed to one super-cell and the
+        ascending ids of every center whose cell lies within ``reach``
+        cells (per axis) of that super-cell.
+
+        A center within per-axis distance ``r`` of a point sits at most
+        ``ceil(r / cell_width)`` cells from it, so ``reach`` set to that
+        (plus one safety ring for floor-rounding slack) makes ``ids`` a
+        superset of every such center for every row of the group.
+        Groups without a candidate center are skipped.
+        """
+        occ, buckets = self.occupied()
+        sc = self.coords(points) >> _SUPER_SHIFT
+        if not buckets or sc.shape[0] == 0:
+            return
+        # stable lexicographic sort: each super-cell's rows become one
+        # contiguous run of ``order``, kept in ascending row order
+        order = np.lexsort(sc.T[::-1])
+        sorted_sc = sc[order]
+        bounds = np.r_[
+            0,
+            np.flatnonzero((sorted_sc[1:] != sorted_sc[:-1]).any(axis=1)) + 1,
+            sc.shape[0],
+        ]
+        uniq = sorted_sc[bounds[:-1]]
+        # occupied center cells inside each super-cell's search window
+        lo = uniq * _SUPER - reach
+        hi = uniq * _SUPER + (_SUPER - 1) + reach
+        step = max(1, _WINDOW_ELEMS // max(1, occ.size))
+        for c0 in range(0, uniq.shape[0], step):
+            inside = (
+                (occ[None, :, :] >= lo[c0 : c0 + step, None, :])
+                & (occ[None, :, :] <= hi[c0 : c0 + step, None, :])
+            ).all(axis=2)
+            for u_off, row in enumerate(inside):
+                cells = np.flatnonzero(row)
+                if cells.size == 0:
+                    continue
+                if cells.size == 1:
+                    ids = buckets[cells[0]]
+                else:
+                    ids = np.sort(np.concatenate([buckets[c] for c in cells]))
+                u = c0 + u_off
+                yield order[bounds[u] : bounds[u + 1]], ids

@@ -57,11 +57,6 @@ __all__ = ["build_micro_clusters", "DEFAULT_BUILDER_BLOCK_SIZE"]
 #: transient (block x candidate-centers) distance matrices
 DEFAULT_BUILDER_BLOCK_SIZE = 4096
 
-#: grid cells per super-cell edge: block points are *grouped* for the
-#: candidate gather at this coarser resolution so each gathered matrix
-#: has enough rows to amortise its Python-level overhead
-_SUPER = 4
-
 
 class _CenterArray:
     """Growing preallocated ``(m, d)`` array of MC centers.
@@ -299,30 +294,9 @@ def _build_grid(
         best_id = np.full(B, -1, dtype=np.int64)
         if m_pre == 0:
             return cnt, best_raw, best_id
-        occ, buckets = grid.occupied()
         pre_centers = centers.view(m_pre)
-        # group block rows by super-cell so each gathered candidate set
-        # is shared by a worthwhile number of matrix rows
-        sc = grid.coords(bpts) >> 2  # arithmetic shift = floor div by _SUPER
-        uniq, inverse = np.unique(sc, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
-        order = np.argsort(inverse, kind="stable")
-        bounds = np.r_[0, np.cumsum(np.bincount(inverse, minlength=uniq.shape[0]))]
-        # occupied center cells inside each super-cell's search window
-        lo = uniq * _SUPER - reach
-        hi = uniq * _SUPER + (_SUPER - 1) + reach
-        inside = (
-            (occ[None, :, :] >= lo[:, None, :]) & (occ[None, :, :] <= hi[:, None, :])
-        ).all(axis=2)
-        for u in range(uniq.shape[0]):
-            cells = np.flatnonzero(inside[u])
-            if cells.size == 0:
-                continue
-            if cells.size == 1:
-                ids = buckets[cells[0]]
-            else:
-                ids = np.sort(np.concatenate([buckets[c] for c in cells]))
-            rows_u = order[bounds[u] : bounds[u + 1]]
+        # the grid holds only the centers inserted before this block
+        for rows_u, ids in grid.gather(bpts, reach):
             sub = bpts[rows_u]
             cand_centers = pre_centers[ids]
             raw = metric.raw_pairwise_stable(sub, cand_centers)

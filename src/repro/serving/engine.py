@@ -9,19 +9,19 @@ into a serving object:
   answered as **one** vectorized prediction block, so under load the
   per-request Python overhead is amortised exactly like the fit-time
   batched engine amortises per-point queries;
-* **LRU caching** — answers are cached keyed by coordinates quantized
-  to ``cache_decimals`` decimal places, so repeat lookups of hot
-  points (the million-user serving pattern) skip the index entirely;
+* **LRU caching** — answers are cached keyed by the exact float64
+  coordinate bytes, so repeat lookups of hot points (the million-user
+  serving pattern) skip the index entirely;
 * **instrumentation** — hit/miss/batch counters land in a
   :class:`~repro.instrumentation.counters.Counters` (``extra`` slots)
   and per-request latencies in a
   :class:`~repro.instrumentation.latency.LatencyWindow`, both exposed
   through :meth:`stats`.
 
-The cache is exact-by-construction only up to quantization: two
-queries that agree in the first ``cache_decimals`` decimals share an
-answer.  The default (12) is far below any meaningful ε, and
-``cache_size=0`` disables caching entirely for exact-paranoid callers.
+The cache is exact by construction: only a bit-identical query (under
+the same model version) can share an answer, so a cache hit returns
+exactly what :func:`~repro.serving.predict.predict_model` would.
+``cache_size=0`` disables caching entirely.
 """
 
 from __future__ import annotations
@@ -101,8 +101,6 @@ class QueryEngine:
         waiting for company — the latency/throughput knob.
     cache_size:
         LRU entries (0 disables the cache).
-    cache_decimals:
-        Coordinate quantization for cache keys.
     block_size:
         Row budget per vectorized distance block (see docs/TUNING.md).
     registry:
@@ -120,7 +118,6 @@ class QueryEngine:
         max_batch: int = 256,
         max_wait_ms: float = 2.0,
         cache_size: int = 4096,
-        cache_decimals: int = 12,
         block_size: int = DEFAULT_BLOCK_SIZE,
         latency_capacity: int = 4096,
         registry: MetricsRegistry | None = None,
@@ -135,7 +132,6 @@ class QueryEngine:
         self.max_batch = max_batch
         self.max_wait_ms = max_wait_ms
         self.cache_size = cache_size
-        self.cache_decimals = cache_decimals
         self.block_size = block_size
         self.counters = Counters()
         self.latency = LatencyWindow(latency_capacity)
@@ -181,9 +177,9 @@ class QueryEngine:
             target=self._batch_loop, name="mudbscan-batcher", daemon=True
         )
         self._worker.start()
-        # build the serving index eagerly so the first request does not
-        # pay the (one-off) reconstruction latency
-        self.model.murtree
+        # build the predict grid eagerly so the first request does not
+        # pay the (one-off) construction latency
+        self.model.center_grid
 
     # ------------------------------------------------------------------
     # observability
@@ -252,7 +248,7 @@ class QueryEngine:
         return f"{model.version_token()}:{model.engine}\x00".encode()
 
     def _key(self, point: np.ndarray) -> bytes:
-        return self._model_token + np.round(point, self.cache_decimals).tobytes()
+        return self._model_token + point.tobytes()
 
     def flush_cache(self) -> int:
         """Drop every cached answer; returns how many were held."""
@@ -423,7 +419,7 @@ class QueryEngine:
     def swap_model(self, new_model) -> str:
         """Atomically replace the served model (hot swap).
 
-        The new model's serving index is built *before* any lock is
+        The new model's predict grid is built *before* any lock is
         taken (the expensive part), then the flip — model pointer,
         cache namespace token, cache flush — happens under the predict
         lock, so no prediction can straddle two models.  In-flight
@@ -432,7 +428,7 @@ class QueryEngine:
         token change, so a swapped-in model can never serve another
         model's cached labels.  Returns the new version token.
         """
-        new_model.murtree  # warm the index outside the lock
+        new_model.center_grid  # warm the predict grid outside the lock
         new_token = self._token_for(new_model)
         with self._predict_lock:
             self.model = new_model

@@ -4,9 +4,9 @@ A :class:`FittedModel` is a versioned snapshot of one μDBSCAN run:
 the dataset, the labels and core flags, the complete micro-cluster
 structure (centers, memberships, reachability lists) and the run's
 parameters/counters.  It is everything online prediction needs and
-nothing it does not — in particular the serving-side μR-tree is
-**rebuilt from the stored centers and memberships**, never by
-re-running Algorithm 3 (the dominant fit-time phase, Table III), so a
+nothing it does not — in particular the serving indexes (the predict
+center grid, and the μR-tree when asked for) are **rebuilt from the
+stored centers and memberships**, never by re-running Algorithm 3 (the dominant fit-time phase, Table III), so a
 model fitted on one machine loads in milliseconds on another.
 
 On-disk container (``save_model`` / ``load_model``)::
@@ -42,6 +42,7 @@ from repro.core.params import DBSCANParams
 from repro.core.result import ClusteringResult
 from repro.geometry.metrics import EUCLIDEAN, Metric, get_metric
 from repro.index.bulk import str_bulk_load
+from repro.index.grid import CenterGrid
 from repro.index.rtree import RTree
 from repro.instrumentation.counters import Counters
 from repro.instrumentation.timers import PhaseTimer
@@ -151,6 +152,7 @@ class FittedModel:
     #: starts at zero so tests can assert no construction work happened
     serving_counters: Counters = field(default_factory=Counters)
     _version_token: str | None = field(default=None, repr=False, compare=False)
+    _center_grid: CenterGrid | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.points = np.ascontiguousarray(self.points, dtype=np.float64)
@@ -361,11 +363,34 @@ class FittedModel:
         )
 
     # ------------------------------------------------------------------
-    # serving index
+    # serving indexes
+
+    @property
+    def center_grid(self) -> CenterGrid:
+        """The ε-cell hash grid over the MC centers that
+        :func:`~repro.serving.predict.predict_model` routes through,
+        built lazily once per model (a dict insert per center)."""
+        if self._center_grid is None:
+            centers = self.points[self.center_rows]
+            origin = centers.min(axis=0) if centers.shape[0] else np.zeros(self.dim)
+            grid = CenterGrid(origin, self.params.eps, self.dim)
+            grid.insert(0, centers)
+            grid.occupied()  # materialise the gather views up front
+            self._center_grid = grid
+        return self._center_grid
+
+    def invalidate_serving_index(self) -> None:
+        """Drop every cached serving structure — the μR-tree, the center
+        grid and the version token — after the arrays were replaced in
+        place, so none of them can answer for the old data."""
+        self._murtree = None
+        self._center_grid = None
+        self._version_token = None
 
     @property
     def murtree(self) -> MuRTree:
-        """The serving-side μR-tree, rebuilt lazily from stored state.
+        """The μR-tree, rebuilt lazily from stored state (prediction
+        does not use it; :meth:`mc_kind_counts` does).
 
         Reconstruction replays nothing: MC membership comes from the
         stored CSR lists, the level-1 tree is STR-packed over the

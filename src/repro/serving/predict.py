@@ -21,12 +21,25 @@ Exactness argument.  For any stored point ``p ∈ MC(c)`` we have
 query satisfies ``dist(c, x) <= dist(c, p) + dist(p, x) < 2 eps`` —
 the Lemma-3 trick restricted to one hop: **only micro-clusters whose
 centers lie strictly within 2ε of the query can contain ε-neighbors.**
-The level-1 μR-tree shortlists those centers, and every touched MC is
-then answered with one vectorized ``(queries x members)`` raw-distance
-block.  Because the MCs partition the dataset, summing per-MC neighbor
-counts never double-counts, and the candidate union provably contains
-every ε-neighbor, so the pruned answer equals the brute-force one
-(:func:`brute_predict`, the test oracle).
+
+The whole batch is routed at once through the model's ε-cell
+:class:`~repro.index.grid.CenterGrid` (the grid-hash builder's index):
+
+1. *group* — the queries are hashed into super-cells (4×4×… cells);
+2. *gather* — each group collects the centers of every occupied cell
+   within 3 cells of its super-cell.  A center within 2ε of a query is
+   within 2ε on every axis, hence at most 2 cells away, so the gather
+   is a superset (the third ring absorbs floor-rounding slack);
+3. *route* — one center-distance block per group keeps the MCs whose
+   center passes the 2ε test for *some* query of the group;
+4. *score* — one vectorized ``(group queries x members)`` raw-distance
+   block against the kept MCs' members yields each query's neighbor
+   count and nearest core.
+
+Every ε-neighbor of a query lies in a kept MC, and the MCs partition
+the dataset, so each query's count and nearest core come from a
+duplicate-free superset of its neighbors: the pruned answer equals the
+brute-force one (:func:`brute_predict`, the test oracle).
 
 Two floating-point details make that equality *bitwise*, not merely
 approximate.  First, the member-level blocks use
@@ -63,6 +76,10 @@ _NO_ROW = np.iinfo(np.int64).max
 #: distances from dropping a micro-cluster whose true center distance
 #: is marginally under 2ε.
 _ROUTING_SLACK = 1e-6
+
+#: element budget of one (queries x members) score matrix — caps the
+#: rows per block below ``block_size`` when a group's members are many
+_SCORE_ELEMS = 1 << 22
 
 
 @dataclass
@@ -155,8 +172,9 @@ def predict_model(
     """Assign ``queries`` to the fitted clustering, exactly.
 
     When a tracer is active, the call produces a ``serving.predict``
-    span with ``serving.route`` (2ε MC shortlisting) and
-    ``serving.score`` (per-MC distance blocks) nested under it.
+    span with ``serving.route`` (grid gather + 2ε center test) and
+    ``serving.score`` (one member block per query group) nested under
+    it.
     """
     with maybe_span("serving.predict"):
         return _predict_impl(
@@ -173,11 +191,11 @@ def _predict_impl(
 ) -> PredictResult:
     """Assign ``queries`` to the fitted clustering, exactly.
 
-    One vectorized raw-distance block per *touched* micro-cluster:
-    queries are routed to candidate MCs through the level-1 tree (2ε
-    center rule), inverted into per-MC query groups, and each group is
-    answered in ``block_size``-row chunks against the MC's member
-    coordinates.
+    The queries are grouped by super-cell of the model's
+    :attr:`~repro.serving.model.FittedModel.center_grid`; each group
+    gathers the centers in its search window, keeps the MCs whose
+    center passes the 2ε test for some query of the group, and is then
+    scored with one raw-distance block against those MCs' members.
 
     Parameters
     ----------
@@ -198,12 +216,9 @@ def _predict_impl(
     k = q.shape[0]
     counters = counters if counters is not None else model.serving_counters
     metric = model.metric
-    murtree = model.murtree
     eps = model.params.eps
     eps_raw = metric.threshold(eps)
-    route_r = 2.0 * eps * (1.0 + _ROUTING_SLACK)
-    route_raw = metric.threshold(route_r)
-    cover = metric.l2_cover_factor(model.dim) if model.dim else 1.0
+    route_raw = metric.threshold(2.0 * eps * (1.0 + _ROUTING_SLACK))
 
     counts = np.zeros(k, dtype=np.int64)
     best_raw = np.full(k, np.inf, dtype=np.float64)
@@ -215,57 +230,55 @@ def _predict_impl(
             model.labels, model.params.min_pts, metric, best_raw, best_row, counts
         )
 
-    # route queries to candidate MCs (level-1 shortlist + exact strict-<
-    # 2ε center test), inverted to one query group per touched MC
-    by_mc: dict[int, list[int]] = {}
-    level1 = murtree.level1
+    grid = model.center_grid
+    centers = model.points[model.center_rows]
+    offsets = model.member_offsets
+    # a center holding an ε-neighbor is < 2ε away on every axis, hence
+    # at most ceil(2ε / cell) cells off; +1 ring absorbs rounding slack
+    reach = int(np.ceil(2.0 * eps / grid.cell_width)) + 1
+    groups = []
     with maybe_span("serving.route", queries=k):
-        for i in range(k):
-            cand = level1.query_ball_candidates(q[i], route_r * cover)
-            if not cand:
-                continue
-            cand_arr = np.asarray(cand, dtype=np.int64)
-            centers = np.stack([murtree.mcs[int(c)].center for c in cand_arr])
-            counters.dist_calcs += int(cand_arr.shape[0])
-            raw = metric.raw_to_point(centers, q[i])
-            for mc_id in cand_arr[raw <= route_raw]:
-                by_mc.setdefault(int(mc_id), []).append(i)
+        for rows, ids in grid.gather(q, reach):
+            raw = metric.raw_pairwise_stable(q[rows], centers[ids])
+            counters.dist_calcs += int(raw.size)
+            keep = ids[(raw <= route_raw).any(axis=0)]
+            if keep.size:
+                groups.append((rows, keep))
 
-    with maybe_span("serving.score", touched_mcs=len(by_mc)):
-        for mc_id, q_idx_list in by_mc.items():
-            mc = murtree.mcs[mc_id]
-            assert mc.member_rows is not None and mc.member_points is not None
-            rows = mc.member_rows
-            core_cols = np.flatnonzero(model.core_mask[rows])
-            core_rows = rows[core_cols]
-            q_idx = np.asarray(q_idx_list, dtype=np.int64)
-            counters.dist_calcs += int(q_idx.size) * int(rows.shape[0])
-            for start in range(0, q_idx.size, block_size):
-                chunk = q_idx[start : start + block_size]
-                raw_mat = metric.raw_pairwise_stable(q[chunk], mc.member_points)
+    with maybe_span(
+        "serving.score",
+        groups=len(groups),
+        routed_mcs=sum(int(keep.size) for _, keep in groups),
+    ):
+        for rows, keep in groups:
+            # member rows of the kept MCs (concatenated CSR slices), the
+            # cores first and in ascending row order: the first minimum
+            # over the core columns is then the lowest-row nearest core
+            # — the deterministic tie-break
+            lens = offsets[keep + 1] - offsets[keep]
+            shift = np.repeat(offsets[keep] - np.cumsum(lens) + lens, lens)
+            members = model.member_flat[shift + np.arange(shift.size)]
+            is_core = model.core_mask[members]
+            core_rows = np.sort(members[is_core])
+            n_core = core_rows.size
+            members = np.concatenate([core_rows, members[~is_core]])
+            member_pts = model.points[members]
+            counters.dist_calcs += int(rows.size) * int(members.size)
+            step = max(1, min(block_size, _SCORE_ELEMS // members.size))
+            for start in range(0, rows.size, step):
+                chunk = rows[start : start + step]
+                raw_mat = metric.raw_pairwise_stable(q[chunk], member_pts)
                 within = raw_mat < eps_raw
-                counts[chunk] += np.count_nonzero(within, axis=1)
-                if not core_cols.size:
+                # MCs partition the data, so no member is counted twice
+                counts[chunk] = np.count_nonzero(within, axis=1)
+                if not n_core:
                     continue
-                raw_core = np.where(
-                    within[:, core_cols], raw_mat[:, core_cols], np.inf
-                )
-                mc_best = raw_core.min(axis=1)
-                hit = np.isfinite(mc_best)
-                if not hit.any():
-                    continue
-                # among columns achieving the minimum, take the smallest
-                # global row — the deterministic tie-break
-                mc_row = np.where(
-                    raw_core <= mc_best[:, None], core_rows[None, :], _NO_ROW
-                ).min(axis=1)
-                tgt = chunk[hit]
-                better = mc_best[hit] < best_raw[tgt]
-                tie = (mc_best[hit] == best_raw[tgt]) & (mc_row[hit] < best_row[tgt])
-                take = better | tie
-                upd = tgt[take]
-                best_raw[upd] = mc_best[hit][take]
-                best_row[upd] = mc_row[hit][take]
+                raw_core = np.where(within[:, :n_core], raw_mat[:, :n_core], np.inf)
+                j = raw_core.argmin(axis=1)
+                best = raw_core[np.arange(chunk.size), j]
+                hit = np.isfinite(best)
+                best_raw[chunk] = best
+                best_row[chunk] = np.where(hit, core_rows[j], _NO_ROW)
 
     return _finalize(
         model.labels, model.params.min_pts, metric, best_raw, best_row, counts

@@ -165,8 +165,9 @@ class StreamingEngine:
         """Sync the served model to the stream head, in place.
 
         The served ``FittedModel`` object keeps its identity (no swap);
-        its arrays are replaced and the cached serving index / version
-        token are dropped, so the next query lazily re-keys — exactly
+        its arrays are replaced and every cached serving structure
+        (:meth:`FittedModel.invalidate_serving_index`) is dropped, so
+        the next query lazily rebuilds and re-keys — exactly
         the cache-coherence contract ``QueryEngine`` relies on.
         Returns the new version token.
         """
@@ -181,8 +182,7 @@ class StreamingEngine:
             model.counters = snapshot.counters
             model.extras = snapshot.extras
             model.meta = snapshot.meta
-            model._murtree = None
-            model._version_token = None
+            model.invalidate_serving_index()
             model.serving_counters.reset()
             staleness_updates = self._staleness_updates
             self._staleness_updates = 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.geometry.distance import neighbors_within
-from repro.index.grid import UniformGrid
+from repro.index.grid import CenterGrid, UniformGrid
 
 
 class TestUniformGrid:
@@ -88,3 +88,52 @@ class TestUniformGrid:
             grid.candidates_near(np.zeros(2), 0.0)
         with pytest.raises(ValueError, match="reach"):
             grid.neighbor_cell_keys((0, 0), -1)
+
+
+class TestCenterGridGather:
+    @staticmethod
+    def _grid(centers, cell_width):
+        grid = CenterGrid(centers.min(axis=0), cell_width, centers.shape[1])
+        grid.insert(0, centers)
+        return grid
+
+    def test_groups_partition_rows_and_cover_near_centers(self, rng):
+        centers = rng.random((200, 3))
+        points = np.vstack([rng.random((300, 3)), rng.uniform(-1, 2, (50, 3))])
+        grid = self._grid(centers, 0.05)
+        r = 0.1  # per-axis radius: ceil(r / cell) + 1 safety ring
+        reach = int(np.ceil(r / grid.cell_width)) + 1
+        seen = np.zeros(points.shape[0], dtype=int)
+        for rows, ids in grid.gather(points, reach):
+            seen[rows] += 1
+            assert np.all(np.diff(ids) > 0), "ids ascending and unique"
+            near = np.flatnonzero(
+                (np.abs(points[rows][:, None, :] - centers[None]) <= r)
+                .all(axis=2)
+                .any(axis=0)
+            )
+            assert set(near) <= set(ids)
+        # a row is yielded at most once; rows with no center in reach of
+        # their super-cell are skipped
+        assert seen.max() == 1
+
+    def test_far_and_non_finite_points(self):
+        centers = np.array([[0.0, 0.0], [1.0, 1.0]])
+        grid = self._grid(centers, 0.5)
+        points = np.array(
+            [[1e300, -1e300], [np.inf, 0.0], [-1e18, 1e18], [np.nan, 0.0],
+             [0.1, 0.1]]
+        )
+        with np.errstate(all="raise"):
+            groups = list(grid.gather(points, 3))
+            cells = grid.coords(points)
+        assert np.all(np.abs(cells) <= 2**52)
+        gathered = {int(r) for rows, _ in groups for r in rows}
+        assert {0, 1, 2} & gathered == set()  # far rows reach no center
+        assert 4 in gathered
+
+    def test_empty_inputs(self):
+        grid = CenterGrid(np.zeros(2), 1.0, 2)
+        assert list(grid.gather(np.ones((3, 2)), 2)) == []  # no centers
+        grid.insert(0, np.zeros((1, 2)))
+        assert list(grid.gather(np.empty((0, 2)), 2)) == []  # no points

@@ -11,7 +11,7 @@ import pytest
 from repro.instrumentation.latency import LatencyWindow
 from repro.serving.engine import PredictRow, QueryEngine
 from repro.serving.model import fit_model
-from repro.serving.predict import predict_model
+from repro.serving.predict import brute_predict, predict_model
 
 
 @pytest.fixture
@@ -76,13 +76,25 @@ class TestCache:
             assert engine.cache_len() == 0
             assert "serve_cache_hits" not in engine.counters.extra
 
-    def test_quantization_shares_entries(self, model, small_blobs):
-        """Two queries equal up to cache_decimals share one answer."""
-        with QueryEngine(model, cache_decimals=6) as engine:
-            p = small_blobs[0]
-            engine.predict(p)
-            engine.predict(p + 1e-9)  # rounds to the same key
-            assert engine.counters.extra["serve_cache_hits"] == 1
+    def test_keys_are_exact_across_the_eps_boundary(self):
+        """Two queries 1 ulp apart on either side of the ε boundary get
+        distinct cache entries and their own correct answers."""
+        pts = np.column_stack([-0.01 * np.arange(6), np.zeros(6)])
+        model = fit_model(pts, 0.5, 3)  # one clump, all core
+        on_eps = np.array([0.5, 0.0])  # exactly ε from row 0: not a neighbor
+        inside = np.array([np.nextafter(0.5, 0.0), 0.0])  # 1 ulp inside
+        want = brute_predict(
+            pts, model.labels, model.core_mask, 0.5, 3, np.stack([on_eps, inside])
+        )
+        assert want.labels.tolist() == [-1, 0]
+        with QueryEngine(model) as engine:
+            for i, q in enumerate((on_eps, inside, on_eps, inside)):
+                got = engine.predict(q)
+                assert got.labels[0] == want.labels[i % 2]
+                assert got.n_neighbors[0] == want.n_neighbors[i % 2]
+                assert got.nearest_core[0] == want.nearest_core[i % 2]
+            assert engine.counters.extra["serve_cache_misses"] == 2
+            assert engine.counters.extra["serve_cache_hits"] == 2
 
 
 class TestMicroBatching:

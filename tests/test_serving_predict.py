@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from repro.data.registry import REGISTRY, dataset_names
-from repro.serving.model import fit_model
+from repro.instrumentation.counters import Counters
+from repro.serving.engine import QueryEngine
+from repro.serving.model import FittedModel, fit_model
 from repro.serving.predict import PredictResult, brute_predict, predict_model
 
 #: keep each registry dataset to roughly this many points for the sweep
@@ -43,12 +45,21 @@ def _query_suite(pts: np.ndarray, eps: float, seed: int = 99) -> np.ndarray:
     return np.vstack([on_manifold, off_manifold, boundary, exact_copies])
 
 
+_METRICS = ("euclidean", "manhattan", "chebyshev")
+_FIELDS = ("labels", "would_be_core", "nearest_core", "nearest_core_dist", "n_neighbors")
+
+
+def _concat(parts: list[PredictResult]) -> PredictResult:
+    return PredictResult(
+        **{f: np.concatenate([getattr(p, f) for p in parts]) for f in _FIELDS}
+    )
+
+
 def _assert_same(a: PredictResult, b: PredictResult) -> None:
-    np.testing.assert_array_equal(a.labels, b.labels)
-    np.testing.assert_array_equal(a.would_be_core, b.would_be_core)
-    np.testing.assert_array_equal(a.nearest_core, b.nearest_core)
-    np.testing.assert_array_equal(a.n_neighbors, b.n_neighbors)
-    np.testing.assert_allclose(a.nearest_core_dist, b.nearest_core_dist)
+    """Every field equal, distances included (both sides compare the
+    same stable raw values, so even those match bit for bit)."""
+    for f in _FIELDS:
+        np.testing.assert_array_equal(getattr(a, f), getattr(b, f), err_msg=f)
 
 
 @pytest.mark.parametrize("name", dataset_names())
@@ -68,6 +79,122 @@ def test_registry_parity(name):
         assert got.would_be_core[0] == oracle.would_be_core[i]
         assert got.nearest_core[0] == oracle.nearest_core[i]
         assert got.n_neighbors[0] == oracle.n_neighbors[i]
+
+
+@pytest.mark.parametrize("metric", ["manhattan", "chebyshev"])
+@pytest.mark.parametrize("name", dataset_names())
+def test_registry_parity_other_metrics(name, metric):
+    """The same sweep under L1 and L∞ — the grid gather bounds centers
+    per axis, which every metric's distance dominates."""
+    pts, spec = _registry_workload(name)
+    model = fit_model(pts, spec.eps, spec.min_pts, metric=metric)
+    queries = _query_suite(pts, spec.eps)
+    oracle = brute_predict(
+        pts, model.labels, model.core_mask, spec.eps, spec.min_pts, queries,
+        metric=metric,
+    )
+    _assert_same(predict_model(model, queries), oracle)
+    _assert_same(
+        _concat([predict_model(model, queries[i : i + 7])
+                 for i in range(0, queries.shape[0], 7)]),
+        oracle,
+    )
+
+
+class TestGridRoute:
+    """The batched ε-grid route against the brute oracle on inputs
+    built to stress it: lattices whose pair distances sit exactly on ε,
+    far-away and non-finite queries, and degenerate batches."""
+
+    @staticmethod
+    def _lattice(metric: str, seed: int = 5):
+        """Points on an ε/2 lattice (exactly representable: ε = 1/4),
+        so stored pairs and query offsets hit distance ε exactly."""
+        rng = np.random.default_rng(seed)
+        eps = 0.25
+        axis = np.arange(8) * (eps / 2)
+        grid = np.stack(np.meshgrid(axis, axis, axis), axis=-1).reshape(-1, 3)
+        pts = grid[rng.random(grid.shape[0]) < 0.6]
+        model = fit_model(pts, eps, 6, metric=metric)
+        # queries on an ε/4 lattice over a box wider than the data
+        q_axis = np.arange(-4, 33) * (eps / 4)
+        q_grid = np.stack(np.meshgrid(q_axis, q_axis, q_axis), axis=-1).reshape(-1, 3)
+        queries = q_grid[rng.choice(q_grid.shape[0], size=1024, replace=False)]
+        return model, pts, eps, queries
+
+    @pytest.mark.parametrize("metric", _METRICS)
+    def test_eps_boundary_lattice(self, metric):
+        model, pts, eps, queries = self._lattice(metric)
+        oracle = brute_predict(
+            pts, model.labels, model.core_mask, eps, 6, queries, metric=metric
+        )
+        # the lattice really does put queries on the boundary
+        raw = model.metric.raw_pairwise_stable(queries, pts)
+        assert np.any(raw == model.metric.threshold(eps))
+        for batch in (1024, 7, 1):
+            n = queries.shape[0] if batch > 1 else 128
+            got = _concat([predict_model(model, queries[i : i + batch])
+                           for i in range(0, n, batch)])
+            want = PredictResult(**{f: getattr(oracle, f)[:n] for f in _FIELDS})
+            _assert_same(got, want)
+
+    @pytest.mark.parametrize("metric", _METRICS)
+    def test_far_and_non_finite_queries(self, small_blobs, metric):
+        model = fit_model(small_blobs, 0.08, 6, metric=metric)
+        far = np.array(
+            [[1e300, -1e300], [-1e300, 1e300], [1e18, -1e18], [-1e17, 3.0],
+             [np.inf, 0.0], [-np.inf, np.inf], [np.nan, 0.5], [0.5, np.nan]]
+        )
+        queries = np.vstack([far, small_blobs[:16], far])
+        got = predict_model(model, queries)
+        want = brute_predict(
+            small_blobs, model.labels, model.core_mask, 0.08, 6, queries,
+            metric=metric,
+        )
+        _assert_same(got, want)
+        assert np.all(got.labels[:8] == -1) and np.all(got.n_neighbors[:8] == 0)
+
+    def test_empty_model_and_empty_batch(self, small_blobs):
+        empty = fit_model(np.empty((0, 3)), 0.5, 4)
+        res = predict_model(empty, np.zeros((3, 3)))
+        assert res.labels.tolist() == [-1, -1, -1]
+        assert res.n_neighbors.tolist() == [0, 0, 0]
+        assert len(predict_model(empty, np.empty((0, 3)))) == 0
+        model = fit_model(small_blobs, 0.08, 6)
+        counters = Counters()
+        res = predict_model(model, np.empty((0, 2)), counters=counters)
+        assert len(res) == 0 and res.labels.dtype == np.int64
+        assert counters.queries_run == 0 and counters.dist_calcs == 0
+
+    def test_loaded_model_never_builds_the_murtree(self, small_blobs):
+        loaded = FittedModel.from_bytes(fit_model(small_blobs, 0.08, 6).to_bytes())
+        predict_model(loaded, small_blobs[:40])
+        with QueryEngine(loaded) as engine:
+            engine.predict(small_blobs[40:60])
+        assert loaded._murtree is None
+        assert loaded.serving_counters.nodes_visited == 0
+
+    def test_invalidation_drops_every_serving_index(self, small_blobs):
+        model = fit_model(small_blobs, 0.08, 6)
+        model.center_grid, model.murtree, model.version_token()
+        model.invalidate_serving_index()
+        assert model._center_grid is None
+        assert model._murtree is None
+        assert model._version_token is None
+
+    def test_dist_calcs_count_the_blocks_computed(self, small_blobs):
+        model = fit_model(small_blobs, 0.08, 6)
+        counters = Counters()
+        # far outside: no group gathers a center, nothing is computed
+        predict_model(model, np.full((3, 2), 50.0), counters=counters)
+        assert counters.queries_run == 3 and counters.dist_calcs == 0
+        q = small_blobs[:64]
+        predict_model(model, q, counters=counters)
+        assert counters.queries_run == 3 + 64
+        # pruned: fewer pairs than scoring every query against every
+        # point plus every center
+        brute_pairs = q.shape[0] * (model.n + model.n_micro_clusters)
+        assert 0 < counters.dist_calcs < brute_pairs
 
 
 class TestSemantics:
@@ -152,6 +279,16 @@ class TestSemantics:
         np.testing.assert_array_equal(res.nearest_core, core_rows)
         np.testing.assert_allclose(res.nearest_core_dist, 0.0)
         assert res.would_be_core.all()
+
+    def test_chebyshev_parity(self, small_blobs):
+        model = fit_model(small_blobs, 0.1, 5, metric="chebyshev")
+        queries = _query_suite(small_blobs, 0.1)
+        got = predict_model(model, queries)
+        want = brute_predict(
+            small_blobs, model.labels, model.core_mask, 0.1, 5, queries,
+            metric="chebyshev",
+        )
+        _assert_same(got, want)
 
     def test_manhattan_parity(self, small_blobs):
         model = fit_model(small_blobs, 0.1, 5, metric="manhattan")

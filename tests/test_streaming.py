@@ -448,6 +448,25 @@ class TestServingIntegration:
         assert eng.model is model, "no swap: same FittedModel object"
         assert model.version_token() != v0
 
+    def test_refreshed_model_answers_like_brute_on_the_new_window(self):
+        from repro.serving import brute_predict, predict_model
+
+        eng, pts = self._engine()
+        model = eng.model
+        queries = np.vstack([pts[::9] + 0.01, pts[:40] + 0.3])
+        predict_model(model, queries)  # warm the grid on the old window
+        old_grid = model.center_grid
+        eng.apply(inserts=pts[:60] + 0.3, deletes=eng.stream.ids_[:80])
+        assert model.center_grid is not old_grid
+        got = predict_model(model, queries)
+        want = brute_predict(
+            eng.stream.window_points, model.labels, model.core_mask,
+            0.08, 5, queries,
+        )
+        for f in ("labels", "would_be_core", "nearest_core",
+                  "nearest_core_dist", "n_neighbors"):
+            np.testing.assert_array_equal(getattr(got, f), getattr(want, f))
+
     def test_staleness_then_refresh(self):
         eng, pts = self._engine(refresh_every=3)
         v0 = eng.model.version_token()
