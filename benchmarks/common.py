@@ -94,7 +94,7 @@ def assert_bench(benchmark, check: Callable[[], None]) -> None:
 
 
 def cpu_timer():
-    """A PhaseTimer on the thread-CPU clock — the same clock simmpi
+    """A PhaseTimer on the thread-CPU clock — the same clock thread-backend
     ranks use, so sequential-vs-distributed speedups compare like with
     like (wall time on a shared box includes descheduled time)."""
     import time as _time

@@ -31,13 +31,6 @@ every run and gate the expensive one separately:
   keeps watching affordable).  Also times the serving predict path
   plain vs. with tracing + structured logging live (the per-request
   hooks a traced fleet worker runs) under the same ≤10% enabled gate.
-* **--quality** — the engine-quality gate.  Sweeps the dataset
-  registry through :func:`repro.validation.quality.quality_sweep`,
-  scoring the approximate engines (``sampled``, ``summary``) against
-  the exact engine (ARI, NMI, cluster-count drift, fit speedup) and
-  writes ``BENCH_QUALITY.json``.  Exits non-zero when any dataset's
-  ARI falls below the gate (0.95) — approximation quality regresses CI
-  exactly like wall time does.
 * **--fleet** — the serving-fleet case.  Fits the workload, then
   measures batched prediction throughput through a 1-worker fleet and
   a 4-worker kd-sharded fleet (same pipe/shared-memory path, so the
@@ -98,7 +91,6 @@ Usage::
     PYTHONPATH=src python benchmarks/perf_smoke.py --parallel       # wall clock
     PYTHONPATH=src python benchmarks/perf_smoke.py --fleet          # serving fleet
     PYTHONPATH=src python benchmarks/perf_smoke.py --observability  # overhead
-    PYTHONPATH=src python benchmarks/perf_smoke.py --quality        # engine ARI
     PYTHONPATH=src python benchmarks/perf_smoke.py --streaming      # live updates
 """
 
@@ -165,10 +157,6 @@ OBSERVABILITY_OVERHEAD_GATE = 0.05
 ENABLED_OVERHEAD_GATE = 0.10
 OBSERVABILITY_ROUNDS = 3
 
-#: registry scale for the quality sweep — small enough to stay a smoke
-#: test, large enough for stable ARI (REPRO_QUALITY_SCALE overrides)
-QUALITY_SCALE = float(os.environ.get("REPRO_QUALITY_SCALE", "0.5"))
-
 #: streaming case: replay length, insert batch, the two windows whose
 #: steady-state probe counts are compared, and deletes per batch
 STREAMING_SCALE = float(os.environ.get("REPRO_STREAMING_SCALE", "1.0"))
@@ -187,7 +175,6 @@ STREAMING_SUBLINEAR_GATE = 1.3
 
 _ROOT = Path(__file__).resolve().parent.parent
 OUT_PATH = _ROOT / "BENCH_batched_query.json"
-QUALITY_OUT_PATH = _ROOT / "BENCH_QUALITY.json"
 PARALLEL_OUT_PATH = _ROOT / "BENCH_parallel_wall.json"
 SERVING_OUT_PATH = _ROOT / "BENCH_serving.json"
 FLEET_OUT_PATH = _ROOT / "BENCH_FLEET.json"
@@ -959,61 +946,6 @@ def run_observability_case() -> int:
 
 
 # ---------------------------------------------------------------------------
-# case: engine-quality gate (sampled/summary vs exact over the registry)
-
-
-def run_quality_case() -> int:
-    from repro.data.registry import dataset_names
-    from repro.validation.quality import quality_gate_failures, quality_sweep
-
-    names = dataset_names()
-    print(
-        f"quality sweep: {len(names)} registry datasets at scale "
-        f"{QUALITY_SCALE} (engines: sampled, summary)"
-    )
-    start = time.perf_counter()
-    sweep = quality_sweep(scale=QUALITY_SCALE)
-    sweep_wall = time.perf_counter() - start
-
-    report = {
-        "workload": {
-            "datasets": len(sweep["datasets"]),
-            "scale": QUALITY_SCALE,
-            "engines": sorted(sweep["engines"]),
-            "gate_ari": sweep["gate_ari"],
-        },
-        **sweep,
-    }
-    metrics = {"sweep_wall_seconds": round(sweep_wall, 4)}
-    for engine, agg in sweep["engines"].items():
-        metrics[f"{engine}_min_ari"] = round(agg["min_ari"], 4)
-        metrics[f"{engine}_mean_ari"] = round(agg["mean_ari"], 4)
-        metrics[f"{engine}_mean_speedup"] = round(agg["mean_speedup"], 3)
-    _write_report(
-        QUALITY_OUT_PATH,
-        "engine_quality",
-        report,
-        wall_seconds=sweep_wall,
-        metrics=metrics,
-    )
-
-    for engine, agg in sweep["engines"].items():
-        print(
-            f"{engine}: ARI min {agg['min_ari']:.3f} / mean "
-            f"{agg['mean_ari']:.3f}, NMI min {agg['min_nmi']:.3f}, "
-            f"fit speedup mean {agg['mean_speedup']:.2f}x "
-            f"(min {agg['min_speedup']:.2f}x)"
-        )
-    print(f"report: {QUALITY_OUT_PATH.name}")
-    failures = quality_gate_failures(sweep)
-    if failures:
-        for line in failures:
-            print(f"FAIL: {line}")
-        return 1
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # case: streaming maintenance (sustained updates/sec + sub-linearity)
 
 
@@ -1265,12 +1197,6 @@ def main(argv: list[str] | None = None) -> int:
         help="run the observability disabled-mode overhead gate",
     )
     parser.add_argument(
-        "--quality",
-        action="store_true",
-        help="run the engine-quality gate (sampled/summary vs exact "
-        "over the dataset registry)",
-    )
-    parser.add_argument(
         "--fleet",
         action="store_true",
         help="run the serving-fleet case (multi-worker throughput, "
@@ -1300,11 +1226,11 @@ def main(argv: list[str] | None = None) -> int:
         LEDGER_PATH = None
     elif args.ledger:
         LEDGER_PATH = Path(args.ledger)
-    if sum((args.parallel, args.serving, args.observability, args.quality,
+    if sum((args.parallel, args.serving, args.observability,
             args.fleet, args.streaming)) > 1:
         parser.error(
             "choose one of --parallel / --serving / --observability / "
-            "--quality / --fleet / --streaming"
+            "--fleet / --streaming"
         )
     if args.streaming:
         return run_streaming_case()
@@ -1316,8 +1242,6 @@ def main(argv: list[str] | None = None) -> int:
         return run_serving_case()
     if args.observability:
         return run_observability_case()
-    if args.quality:
-        return run_quality_case()
     return run_batched_case()
 
 

@@ -13,13 +13,15 @@ Quickstart::
 
 Layout:
 
-* :mod:`repro.core` — μDBSCAN itself (Algorithms 2-8).
+* :mod:`repro.core` — μDBSCAN itself (Algorithms 2-8), the only batch
+  clustering engine: every fit path is exact.
 * :mod:`repro.microcluster` — micro-clusters and the two-level μR-tree.
 * :mod:`repro.index` — R-tree / kd-tree / grid / brute spatial indexes.
 * :mod:`repro.baselines` — the sequential comparison algorithms.
 * :mod:`repro.distributed` — μDBSCAN-D and the distributed baselines on
   a simulated MPI substrate.
 * :mod:`repro.data` — synthetic stand-ins for the paper's datasets.
+* :mod:`repro.streaming` — exact incremental clustering of a live window.
 * :mod:`repro.validation` — the exactness checker and quality metrics.
 * :mod:`repro.instrumentation` — counters, timers, memory, tables.
 * :mod:`repro.serving` — model persistence + online prediction serving
@@ -33,7 +35,6 @@ plus the names in ``__all__``; see docs/API.md.
 """
 
 from repro._version import __version__
-from repro._compat import ReproDeprecationWarning
 from repro.core.extras import ExtraKeys
 from repro.core.mudbscan import mu_dbscan, MuDBSCAN
 from repro.core.params import DBSCANParams
@@ -42,7 +43,7 @@ from repro.baselines import brute_dbscan, rtree_dbscan, g_dbscan, grid_dbscan
 from repro.validation.exactness import check_exact, assert_exact
 from repro.validation.definition import validate_definition
 from repro.neighbors import suggest_eps, k_distances
-from repro.streaming import IncrementalMuDBSCAN, StreamingMuDBSCAN
+from repro.streaming import StreamingMuDBSCAN
 from repro.geometry.metrics import get_metric
 from repro.serving import (
     FittedModel,
@@ -62,7 +63,6 @@ __all__ = [
     "fit_distributed",
     "stream",
     "ExtraKeys",
-    "ReproDeprecationWarning",
     "mu_dbscan",
     "MuDBSCAN",
     "DBSCANParams",
@@ -77,7 +77,6 @@ __all__ = [
     "suggest_eps",
     "k_distances",
     "StreamingMuDBSCAN",
-    "IncrementalMuDBSCAN",
     "get_metric",
     "FittedModel",
     "QueryEngine",

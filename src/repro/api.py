@@ -16,9 +16,6 @@ package root::
 
 The facade commits to the unified parameter vocabulary (``eps``,
 ``min_pts``, ``n_ranks``, ``backend``) documented in docs/API.md.
-Legacy spellings (``minpts``, ``min_samples``, ``nranks``,
-``num_ranks``) still work everywhere but raise
-:class:`~repro._compat.ReproDeprecationWarning` once per process.
 
 Deep imports (``repro.core.mudbscan.mu_dbscan``,
 ``repro.distributed.mudbscan_d.mu_dbscan_d``,
@@ -32,7 +29,6 @@ from typing import Any
 
 import numpy as np
 
-from repro._compat import deprecated_alias
 from repro.core.mudbscan import mu_dbscan
 from repro.core.result import ClusteringResult
 from repro.distributed.mudbscan_d import mu_dbscan_d
@@ -43,48 +39,22 @@ from repro.streaming.incremental import StreamingMuDBSCAN
 __all__ = ["fit", "fit_distributed", "load_model", "stream", "suggest_eps"]
 
 
-@deprecated_alias(minpts="min_pts", min_samples="min_pts")
 def fit(
     points: np.ndarray,
     eps: float,
     min_pts: int,
-    *,
-    engine: str | Any = "exact",
     **opts: Any,
 ) -> ClusteringResult:
-    """Cluster ``points`` with the selected clustering engine.
+    """Cluster ``points`` with μDBSCAN (exact DBSCAN semantics).
 
-    ``engine`` picks the exactness tier (docs/ENGINES.md):
-
-    * ``"exact"`` (default) — μDBSCAN, exact DBSCAN semantics.  A
-      direct alias of :func:`repro.core.mudbscan.mu_dbscan`; every
-      keyword it accepts (``metric``, ``batch_queries``,
-      ``block_size``, ``builder``, ``builder_block_size``, ``tracer``,
-      the ablation switches …) passes through unchanged.
-    * ``"sampled"`` — DBSCAN++-style sampled candidate cores.  Engine
-      options ``sample_fraction`` / ``selection`` / ``seed`` are
-      extracted from the keywords; the shared knobs (``metric``,
-      ``block_size``, ``builder``, ``builder_block_size``,
-      ``aux_index``, ``max_entries``, ``tracer``) pass through.
-    * ``"summary"`` — clustering over micro-cluster summaries; engine
-      option ``link_factor``, same shared knobs.
-
-    A pre-configured :class:`repro.engines.ClusteringEngine` instance
-    is also accepted.  Approximate engines tag their result with
-    ``extras["engine"]`` / ``extras["engine_options"]`` provenance;
-    quality versus the exact engine is tracked by
-    :mod:`repro.validation.quality`.
+    A direct alias of :func:`repro.core.mudbscan.mu_dbscan`; every
+    keyword it accepts (``metric``, ``batch_queries``, ``block_size``,
+    ``builder``, ``builder_block_size``, ``tracer``, the ablation
+    switches …) passes through unchanged.
     """
-    if engine == "exact":
-        # the unchanged exact path — bit-identical to mu_dbscan()
-        return mu_dbscan(points, eps, min_pts, **opts)
-    from repro.engines import resolve_engine
-
-    eng, fit_opts = resolve_engine(engine, opts)
-    return eng.fit(points, eps, min_pts, **fit_opts)
+    return mu_dbscan(points, eps, min_pts, **opts)
 
 
-@deprecated_alias(minpts="min_pts", min_samples="min_pts", nranks="n_ranks", num_ranks="n_ranks")
 def fit_distributed(
     points: np.ndarray,
     eps: float,
@@ -101,12 +71,9 @@ def fit_distributed(
     return mu_dbscan_d(points, eps, min_pts, n_ranks, **opts)
 
 
-@deprecated_alias(minpts="min_pts", min_samples="min_pts")
 def stream(
     eps: float,
     min_pts: int,
-    *,
-    engine: str = "streaming",
     **opts: Any,
 ) -> StreamingMuDBSCAN:
     """Create an incremental clusterer for a live data stream.
@@ -122,14 +89,8 @@ def stream(
     Shares the batch vocabulary: ``metric``, ``builder`` /
     ``builder_block_size``, ``max_entries`` pass through, plus the
     streaming knobs ``window``, ``compact_every``,
-    ``compact_dirty_fraction`` (docs/STREAMING.md).  Only
-    ``engine="streaming"`` exists — the keyword is accepted for
-    symmetry with :func:`fit` and reserved for future tiers.
+    ``compact_dirty_fraction`` (docs/STREAMING.md).
     """
-    if engine != "streaming":
-        raise ValueError(
-            f"stream() supports engine='streaming' only, got {engine!r}"
-        )
     return StreamingMuDBSCAN(eps, min_pts, **opts)
 
 

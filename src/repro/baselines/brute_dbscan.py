@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._compat import deprecated_alias
 from repro.core.params import DBSCANParams
 from repro.core.result import ClusteringResult
 from repro.geometry.distance import chunked_pairwise_apply
@@ -31,7 +30,6 @@ from repro.unionfind.unionfind import UnionFind
 __all__ = ["brute_dbscan"]
 
 
-@deprecated_alias(minpts="min_pts", min_samples="min_pts")
 def brute_dbscan(
     points: np.ndarray,
     eps: float,

@@ -26,7 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines._expand import finalize_result, union_pass
-from repro._compat import deprecated_alias
 from repro.core.params import DBSCANParams
 from repro.core.result import ClusteringResult
 from repro.geometry.distance import sq_dists_to_point
@@ -62,7 +61,6 @@ def _form_groups(
     return masters[:g], members
 
 
-@deprecated_alias(minpts="min_pts", min_samples="min_pts")
 def g_dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusteringResult:
     """Exact DBSCAN via the groups method (baseline "G-DBSCAN")."""
     params = DBSCANParams(eps=eps, min_pts=min_pts)

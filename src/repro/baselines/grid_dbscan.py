@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._compat import deprecated_alias
 from repro.core.params import DBSCANParams
 from repro.core.result import ClusteringResult
 from repro.geometry.distance import pairwise_sq_dists, sq_dists_to_point
@@ -41,7 +40,6 @@ __all__ = ["grid_dbscan"]
 _DIAG_SAFETY = 1.0 - 1e-9
 
 
-@deprecated_alias(minpts="min_pts", min_samples="min_pts")
 def grid_dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusteringResult:
     """Exact DBSCAN on a ε/√d grid (baseline "GridDBSCAN")."""
     params = DBSCANParams(eps=eps, min_pts=min_pts)

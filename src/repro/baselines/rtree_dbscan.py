@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines._expand import finalize_result, union_pass
-from repro._compat import deprecated_alias
 from repro.core.params import DBSCANParams
 from repro.core.result import ClusteringResult
 from repro.index.rtree import PointRTree
@@ -22,7 +21,6 @@ from repro.instrumentation.timers import PhaseTimer
 __all__ = ["rtree_dbscan"]
 
 
-@deprecated_alias(minpts="min_pts", min_samples="min_pts")
 def rtree_dbscan(
     points: np.ndarray,
     eps: float,

@@ -125,26 +125,6 @@ def _mu_kwargs(args: argparse.Namespace) -> dict:
     }
 
 
-def _engine_kwargs(args: argparse.Namespace) -> dict:
-    """``engine=`` + engine options for the facade (run / fit only).
-
-    The approximate engines share the index knobs but not the exact
-    pipeline's ablation switches, so this builds their keyword set from
-    scratch instead of reusing :func:`_mu_kwargs`.
-    """
-    kwargs: dict = {
-        "engine": args.engine,
-        "block_size": args.block_size,
-        "builder": args.builder,
-        "builder_block_size": args.builder_block_size,
-    }
-    if args.sample_fraction is not None:
-        if args.engine != "sampled":
-            raise SystemExit("--sample-fraction requires --engine sampled")
-        kwargs["sample_fraction"] = args.sample_fraction
-    return kwargs
-
-
 @contextlib.contextmanager
 def _observability(args: argparse.Namespace, root_name: str = "fit"):
     """Honour ``--trace-out`` / ``--metrics-out`` / ``--profile``.
@@ -212,20 +192,7 @@ def _observability(args: argparse.Namespace, root_name: str = "fit"):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.sample_fraction is not None and args.engine != "sampled":
-        raise SystemExit("--sample-fraction requires --engine sampled")
     pts, eps, min_pts, name = _resolve_workload(args)
-    if args.engine != "exact":
-        if args.algo != "mu":
-            raise SystemExit(f"--engine {args.engine} requires --algo mu")
-        from repro.api import fit
-
-        with _observability(args, root_name="fit"):
-            start = time.perf_counter()
-            res = fit(pts, eps, min_pts, **_engine_kwargs(args))
-            wall = time.perf_counter() - start
-        _print_result(name, res, wall)
-        return 0
     algo = SEQUENTIAL_ALGOS[args.algo]
     kwargs = _mu_kwargs(args) if args.algo == "mu" else {}
     with _observability(args, root_name="fit"):
@@ -303,27 +270,17 @@ def cmd_distributed(args: argparse.Namespace) -> int:
 def cmd_fit(args: argparse.Namespace) -> int:
     from repro.serving import fit_model
 
-    if args.sample_fraction is not None and args.engine != "sampled":
-        raise SystemExit("--sample-fraction requires --engine sampled")
     pts, eps, min_pts, name = _resolve_workload(args)
     with _observability(args, root_name="fit"):
         start = time.perf_counter()
-        if args.engine != "exact":
-            kwargs = _engine_kwargs(args)
-            kwargs.pop("engine")
-            model = fit_model(
-                pts, eps, min_pts,
-                engine=args.engine, metric=args.metric, **kwargs,
-            )
-        else:
-            model = fit_model(
-                pts,
-                eps,
-                min_pts,
-                metric=args.metric,
-                batch_queries=not args.no_batch_queries,
-                block_size=args.block_size,
-            )
+        model = fit_model(
+            pts,
+            eps,
+            min_pts,
+            metric=args.metric,
+            batch_queries=not args.no_batch_queries,
+            block_size=args.block_size,
+        )
         wall = time.perf_counter() - start
     path = model.save(args.save)
     print(model.summary())
@@ -824,31 +781,17 @@ def build_parser() -> argparse.ArgumentParser:
             "deltas and RSS per phase, 'deep' adds allocation top-N",
         )
 
-    def add_engine_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--engine",
-            choices=("exact", "sampled", "summary"),
-            default="exact",
-            help="clustering engine / exactness tier (docs/ENGINES.md); "
-            "'exact' is full μDBSCAN, the others trade exactness for speed",
-        )
-        p.add_argument(
-            "--sample-fraction",
-            type=float,
-            default=None,
-            help="candidate-core fraction for --engine sampled",
-        )
-
     run = sub.add_parser("run", help="run one sequential algorithm")
     add_workload_args(run)
-    add_engine_args(run)
     run.add_argument("--algo", choices=sorted(SEQUENTIAL_ALGOS), default="mu")
 
     cmp_ = sub.add_parser("compare", help="check exactness against the brute oracle")
     add_workload_args(cmp_)
     cmp_.add_argument("--algo", choices=sorted(SEQUENTIAL_ALGOS), default="mu")
 
-    dist = sub.add_parser("distributed", help="run a distributed algorithm on simmpi")
+    dist = sub.add_parser(
+        "distributed", help="run a distributed algorithm on thread or process ranks"
+    )
     add_workload_args(dist)
     dist.add_argument("--algo", choices=sorted(DISTRIBUTED_ALGOS), default="mu-d")
     dist.add_argument("--ranks", type=int, default=4)
@@ -934,7 +877,6 @@ def build_parser() -> argparse.ArgumentParser:
         "fit", help="fit μDBSCAN and save a servable model artifact"
     )
     add_workload_args(fit)
-    add_engine_args(fit)
     fit.add_argument(
         "--save", required=True, metavar="PATH",
         help="where to write the model artifact (e.g. model.mudb)",

@@ -26,12 +26,9 @@ __all__ = [
     "MEMORY_PROFILE",
     "MESSAGES_SENT_TOTAL",
     "METRIC",
-    "N_CANDIDATES",
-    "N_CORE_MCS",
     "N_CROSS_PAIRS",
     "N_MICRO_CLUSTERS",
     "N_RANKS",
-    "N_STRAY_CORES",
     "N_WNDQ_CORE",
     "PER_RANK_MEMORY",
     "PER_RANK_PHASES",
@@ -59,17 +56,11 @@ class ExtraKeys:
     #: per-phase memory records (Table IV split-up) when a profiler ran
     MEMORY_PROFILE = "memory_profile"
 
-    # -- engines (repro.engines; see docs/ENGINES.md) ------------------
-    #: which engine produced the result ("exact" / "sampled" / "summary")
+    # -- engine provenance (streaming snapshots) -----------------------
+    #: which engine produced the result ("streaming")
     ENGINE = "engine"
     #: the engine's construction options (provenance dict)
     ENGINE_OPTIONS = "engine_options"
-    #: sampled engine: rows promoted to core candidates
-    N_CANDIDATES = "n_candidates"
-    #: summary engine: micro-clusters with a provably core center
-    N_CORE_MCS = "n_core_mcs"
-    #: summary engine: exact cores found outside the core MCs
-    N_STRAY_CORES = "n_stray_cores"
 
     # -- distributed drivers (mu_dbscan_d and baselines) ---------------
     #: world size of the run
@@ -103,9 +94,6 @@ FIT_SECONDS = ExtraKeys.FIT_SECONDS
 MEMORY_PROFILE = ExtraKeys.MEMORY_PROFILE
 ENGINE = ExtraKeys.ENGINE
 ENGINE_OPTIONS = ExtraKeys.ENGINE_OPTIONS
-N_CANDIDATES = ExtraKeys.N_CANDIDATES
-N_CORE_MCS = ExtraKeys.N_CORE_MCS
-N_STRAY_CORES = ExtraKeys.N_STRAY_CORES
 N_RANKS = ExtraKeys.N_RANKS
 BACKEND = ExtraKeys.BACKEND
 PER_RANK_PHASES = ExtraKeys.PER_RANK_PHASES

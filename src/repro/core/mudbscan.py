@@ -19,7 +19,6 @@ import contextlib
 
 import numpy as np
 
-from repro._compat import deprecated_alias
 from repro.core.extras import ExtraKeys
 from repro.core.params import DBSCANParams
 from repro.core.postprocess import postprocess_core, postprocess_noise
@@ -142,7 +141,6 @@ def run_mu_dbscan_state(
     return state, timers
 
 
-@deprecated_alias(minpts="min_pts", min_samples="min_pts")
 def mu_dbscan(
     points: np.ndarray,
     eps: float,
@@ -275,13 +273,6 @@ class MuDBSCAN:
     sklearn-style: ``get_params()`` returns a dict that round-trips
     through ``MuDBSCAN(**params)``, and ``repr()`` shows the
     non-default settings.
-
-    ``engine`` selects the clustering engine (``"exact"`` default,
-    ``"sampled"``, ``"summary"`` — docs/ENGINES.md); ``engine_options``
-    carries the engine's own knobs (e.g. ``{"sample_fraction": 0.3}``).
-    The ablation switches (``filtration``, ``defer_2eps``,
-    ``dynamic_wndq``, ``batch_queries``) only apply to the exact
-    engine's pipeline.
     """
 
     #: constructor keywords in declaration order (get_params/__repr__)
@@ -298,8 +289,6 @@ class MuDBSCAN:
         "builder_block_size",
         "max_entries",
         "metric",
-        "engine",
-        "engine_options",
     )
 
     def __init__(
@@ -317,8 +306,6 @@ class MuDBSCAN:
         builder_block_size: int = DEFAULT_BUILDER_BLOCK_SIZE,
         max_entries: int = 64,
         metric: str | Metric = EUCLIDEAN,
-        engine: str = "exact",
-        engine_options: dict | None = None,
     ) -> None:
         # validate eagerly so misuse fails at construction
         self.params = DBSCANParams(eps=eps, min_pts=min_pts)
@@ -332,14 +319,6 @@ class MuDBSCAN:
         self.builder_block_size = builder_block_size
         self.max_entries = max_entries
         self.metric = metric
-        self.engine = engine
-        self.engine_options = dict(engine_options) if engine_options else {}
-        if engine != "exact":
-            # resolve eagerly so an unknown engine or a bad option
-            # fails at construction, like the parameter validation
-            from repro.engines import resolve_engine
-
-            resolve_engine(engine, dict(self.engine_options))
         self.result_: ClusteringResult | None = None
 
     def get_params(self) -> dict:
@@ -351,7 +330,6 @@ class MuDBSCAN:
         }
         out["eps"] = self.params.eps
         out["min_pts"] = self.params.min_pts
-        out["engine_options"] = dict(self.engine_options)
         return {name: out[name] for name in self._PARAM_NAMES}
 
     def __repr__(self) -> str:
@@ -366,30 +344,12 @@ class MuDBSCAN:
         for name in self._PARAM_NAMES:
             value = params[name]
             default = defaults.get(name, inspect.Parameter.empty)
-            if name in ("eps", "min_pts") or value != (
-                {} if default is None else default
-            ):
+            if name in ("eps", "min_pts") or value != default:
                 parts.append(f"{name}={value!r}")
         return f"{type(self).__name__}({', '.join(parts)})"
 
     def fit(self, points: np.ndarray) -> "MuDBSCAN":
         """Cluster ``points``; results land in ``labels_`` etc."""
-        if self.engine != "exact":
-            from repro.engines import resolve_engine
-
-            eng, _ = resolve_engine(self.engine, dict(self.engine_options))
-            self.result_ = eng.fit(
-                points,
-                self.params.eps,
-                self.params.min_pts,
-                aux_index=self.aux_index,
-                block_size=self.block_size,
-                builder=self.builder,
-                builder_block_size=self.builder_block_size,
-                max_entries=self.max_entries,
-                metric=self.metric,
-            )
-            return self
         self.result_ = mu_dbscan(
             points,
             self.params.eps,

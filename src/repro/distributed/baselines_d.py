@@ -1,4 +1,4 @@
-"""Distributed baselines of Table V, on the same simmpi substrate.
+"""Distributed baselines of Table V, on the same execution backends.
 
 * :func:`pdsdbscan_d` — PDSDBSCAN-D (Patwary et al. 2012): spatial
   partitioning + classical R-tree DBSCAN per rank (a query for every
@@ -31,7 +31,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro._compat import deprecated_alias
 from repro.core.extras import ExtraKeys
 from repro.core.params import DBSCANParams
 from repro.core.result import ClusteringResult
@@ -290,7 +289,6 @@ def _classical_local_step(
     return fragment
 
 
-@deprecated_alias(minpts="min_pts", nranks="n_ranks", num_ranks="n_ranks")
 def pdsdbscan_d(
     points: np.ndarray, eps: float, min_pts: int, n_ranks: int, **kwargs: Any
 ) -> ClusteringResult:
@@ -438,7 +436,6 @@ def _grid_local_step(
     return fragment
 
 
-@deprecated_alias(minpts="min_pts", nranks="n_ranks", num_ranks="n_ranks")
 def grid_dbscan_d(
     points: np.ndarray, eps: float, min_pts: int, n_ranks: int, **kwargs: Any
 ) -> ClusteringResult:
@@ -449,7 +446,6 @@ def grid_dbscan_d(
     )
 
 
-@deprecated_alias(minpts="min_pts", nranks="n_ranks", num_ranks="n_ranks")
 def hpdbscan_like(
     points: np.ndarray, eps: float, min_pts: int, n_ranks: int, **kwargs: Any
 ) -> ClusteringResult:
@@ -476,7 +472,6 @@ def hpdbscan_like(
 # RP-DBSCAN-like (random partitioning, cell dictionary, ρ-approximate)
 
 
-@deprecated_alias(minpts="min_pts", nranks="n_ranks", num_ranks="n_ranks")
 def rp_dbscan_like(
     points: np.ndarray, eps: float, min_pts: int, n_ranks: int, seed: int = 0
 ) -> ClusteringResult:

@@ -29,7 +29,6 @@ from typing import Any
 
 import numpy as np
 
-from repro._compat import deprecated_alias
 from repro.core.extras import ExtraKeys
 from repro.core.params import DBSCANParams
 from repro.core.result import ClusteringResult
@@ -166,7 +165,6 @@ def _rank_main(
     }
 
 
-@deprecated_alias(minpts="min_pts", nranks="n_ranks", num_ranks="n_ranks")
 def mu_dbscan_d(
     points: np.ndarray,
     eps: float,

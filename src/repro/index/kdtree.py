@@ -7,7 +7,8 @@ Used in two roles:
 * the reference geometry for the distributed partitioner's recursive
   widest-axis median splits (Fig. 4 of the paper) — the partitioner in
   ``repro.distributed.partition`` re-implements the *sampling* median
-  on top of simmpi, but its splits are validated against this tree.
+  on top of the distributed backends, but its splits are validated
+  against this tree.
 
 The tree is static: built once over a fixed array with an explicit
 node arena (no per-node Python objects beyond slots), leaf buckets of

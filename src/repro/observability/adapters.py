@@ -155,8 +155,9 @@ def publish_run(
     carries.  Phase seconds accumulate across runs into the same
     labelled series; re-use one registry per run for per-run reports.
     ``engine`` tags every family with the producing clustering engine
-    ("exact" / "sampled" / "summary" — see docs/ENGINES.md), so tiered
-    runs stay separable in one registry.
+    — ``"exact"`` for batch fits, ``"streaming"`` for the incremental
+    clusterer — so batch and streaming runs stay separable in one
+    registry.
     """
     if not registry.enabled:
         return

@@ -34,7 +34,6 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from repro._compat import deprecated_alias
 from repro._version import __version__
 from repro.core.extras import ExtraKeys
 from repro.core.mudbscan import run_mu_dbscan_state
@@ -247,9 +246,12 @@ class FittedModel:
         """Clustering engine that produced the artifact.
 
         Read from the header's ``meta`` (recorded at fit time together
-        with the engine's options under ``meta["engine_options"]``);
-        artifacts from before the engine abstraction default to
-        ``"exact"`` — the only engine that existed.
+        with the engine's options under ``meta["engine_options"]``).
+        Fits write ``"exact"``, streaming snapshots ``"streaming"``;
+        artifacts written by the retired approximate engines keep
+        their ``"sampled"`` / ``"summary"`` tag and still load and
+        serve.  Artifacts from before the tag existed default to
+        ``"exact"``.
         """
         return str(self.meta.get("engine", "exact"))
 
@@ -574,38 +576,23 @@ class FittedModel:
         return cls.from_bytes(path.read_bytes())
 
 
-@deprecated_alias(minpts="min_pts", min_samples="min_pts")
 def fit_model(
     points: np.ndarray,
     eps: float,
     min_pts: int,
     *,
-    engine: str | Any = "exact",
     metric: str | Metric = EUCLIDEAN,
     batch_queries: bool = True,
     block_size: int = DEFAULT_BLOCK_SIZE,
     **mu_kwargs: Any,
 ) -> FittedModel:
-    """Fit the selected engine and package the run as a
-    :class:`FittedModel`.
+    """Fit μDBSCAN and package the run as a :class:`FittedModel`.
 
-    ``engine="exact"`` (default) accepts the same knobs as
-    :func:`repro.core.mudbscan.mu_dbscan` (including ``builder`` /
-    ``builder_block_size``); ``"sampled"`` / ``"summary"`` additionally
-    take their engine options (``sample_fraction``, ``selection``,
-    ``seed`` / ``link_factor`` — docs/ENGINES.md) and drop the
-    exact-pipeline ablation switches.  The artifact header records the
-    engine and its options, so a loaded model reports its provenance
-    and predicts without a refit whatever tier produced it.  Float32
-    (or any numeric) input is canonicalised to float64, the repo-wide
+    Accepts the same knobs as :func:`repro.core.mudbscan.mu_dbscan`
+    (including ``builder`` / ``builder_block_size``).  Float32 (or any
+    numeric) input is canonicalised to float64, the repo-wide
     coordinate dtype.
     """
-    if engine != "exact":
-        from repro.engines import resolve_engine
-
-        eng, fit_opts = resolve_engine(engine, {**mu_kwargs, "metric": metric,
-                                                "block_size": block_size})
-        return eng.fit_model(points, eps, min_pts, **fit_opts)
     pts = np.ascontiguousarray(points, dtype=np.float64)
     params = DBSCANParams(eps=eps, min_pts=min_pts)
     counters = Counters()

@@ -9,11 +9,10 @@ deletes and sliding-window expiry — updating only the micro-clusters,
 core flags and union-find components the batch touches, never
 re-running the batch pipeline.
 
-Stable entry point: :func:`repro.api.stream`.  The historical
-:class:`IncrementalMuDBSCAN` name remains as a deprecated shim.
-See docs/STREAMING.md for the maintenance invariants.
+Stable entry point: :func:`repro.api.stream`.  See docs/STREAMING.md
+for the maintenance invariants.
 """
 
-from repro.streaming.incremental import IncrementalMuDBSCAN, StreamingMuDBSCAN
+from repro.streaming.incremental import StreamingMuDBSCAN
 
-__all__ = ["StreamingMuDBSCAN", "IncrementalMuDBSCAN"]
+__all__ = ["StreamingMuDBSCAN"]

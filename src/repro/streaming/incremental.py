@@ -49,7 +49,6 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from repro._compat import deprecated_alias, deprecated_method
 from repro.core.extras import ExtraKeys
 from repro.core.params import DBSCANParams
 from repro.core.result import ClusteringResult
@@ -65,7 +64,7 @@ from repro.observability.adapters import publish_run
 from repro.observability.registry import get_registry
 from repro.observability.tracing import maybe_span
 
-__all__ = ["StreamingMuDBSCAN", "IncrementalMuDBSCAN"]
+__all__ = ["StreamingMuDBSCAN"]
 
 ALGORITHM = "streaming_mu_dbscan"
 
@@ -111,8 +110,7 @@ class StreamingMuDBSCAN:
     ----------
     eps, min_pts:
         Density parameters, fixed for the stream's lifetime (ε defines
-        the micro-cluster geometry).  ``min_samples`` / ``minpts`` are
-        accepted as deprecated aliases of ``min_pts``.
+        the micro-cluster geometry).
     dim:
         Point dimensionality; may be omitted (``None``) and inferred
         from the first batch.
@@ -140,7 +138,6 @@ class StreamingMuDBSCAN:
     the tests gate on.
     """
 
-    @deprecated_alias(minpts="min_pts", min_samples="min_pts")
     def __init__(
         self,
         eps: float,
@@ -1090,20 +1087,3 @@ def _csr(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
     ).astype(np.int64)
     return offsets, flat
-
-
-class IncrementalMuDBSCAN(StreamingMuDBSCAN):
-    """Deprecated name for :class:`StreamingMuDBSCAN`.
-
-    The historical method spellings survive as one-shot-warning shims:
-    ``insert()`` → :meth:`~StreamingMuDBSCAN.partial_fit`,
-    ``cluster()`` → :meth:`~StreamingMuDBSCAN.result`.
-    """
-
-    @deprecated_method("partial_fit")
-    def insert(self, batch: np.ndarray) -> None:
-        self.partial_fit(batch)
-
-    @deprecated_method("result")
-    def cluster(self) -> ClusteringResult:
-        return self.result()

@@ -7,10 +7,10 @@ a remote rank (paper §V-C).  After local clustering the pairs are
 exchanged and a consistent global components structure is derived.
 
 Patwary et al. interleave the unions with message rounds on the real
-distributed structure; under simmpi every rank already sees the gathered
-edge lists after an ``allgather``, so we resolve them with one
-deterministic pass — the same final components, with the communication
-volume still counted by the caller.
+distributed structure; on the execution backends every rank already
+sees the gathered edge lists after an ``allgather``, so we resolve
+them with one deterministic pass — the same final components, with
+the communication volume still counted by the caller.
 """
 
 from __future__ import annotations

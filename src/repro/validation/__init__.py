@@ -6,9 +6,6 @@ cluster membership, same cluster count — plus the noise condition and a
 border-validity check.  :mod:`repro.validation.metrics` quantifies the
 quality gap of the *approximate* baselines (HPDBSCAN-like,
 RP-DBSCAN-like) against an exact clustering.
-:mod:`repro.validation.quality` sweeps the dataset registry to score
-the approximate clustering engines (``sampled`` / ``summary``) against
-the exact engine — the ARI gate that CI enforces.
 """
 
 from repro.validation.exactness import (
@@ -28,12 +25,6 @@ from repro.validation.metrics import (
     cluster_count_drift,
     label_sets_equal,
 )
-from repro.validation.quality import (
-    ARI_GATE,
-    QualityRecord,
-    quality_sweep,
-    quality_gate_failures,
-)
 
 __all__ = [
     "ExactnessReport",
@@ -50,8 +41,4 @@ __all__ = [
     "normalized_mutual_info",
     "cluster_count_drift",
     "label_sets_equal",
-    "ARI_GATE",
-    "QualityRecord",
-    "quality_sweep",
-    "quality_gate_failures",
 ]

@@ -1,31 +1,26 @@
-"""The stable public facade and the deprecated-keyword shims."""
+"""The stable public facade."""
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
 
 import repro
-from repro import ExtraKeys, ReproDeprecationWarning, fit, fit_distributed
-from repro._compat import reset_warned
+from repro import ExtraKeys, brute_dbscan, check_exact, fit, fit_distributed
 from repro.core.mudbscan import mu_dbscan
+from repro.data.registry import dataset_names, load_dataset
 from repro.distributed.mudbscan_d import mu_dbscan_d
 
+METRICS = ("euclidean", "manhattan", "chebyshev")
 
-@pytest.fixture(autouse=True)
-def _fresh_warning_state():
-    """Each test sees the warn-once behaviour from a clean slate."""
-    reset_warned()
-    yield
-    reset_warned()
+#: registry sweep scale for parity tests — a few hundred points each
+PARITY_SCALE = 0.05
 
 
 class TestFacade:
     def test_root_exports(self):
         for name in ("fit", "fit_distributed", "load_model", "suggest_eps",
-                     "api", "ExtraKeys", "ReproDeprecationWarning"):
+                     "api", "ExtraKeys"):
             assert hasattr(repro, name), name
             assert name in repro.__all__
 
@@ -49,26 +44,36 @@ class TestFacade:
 
     def test_fit_forwards_builder_options(self, small_blobs):
         baseline = mu_dbscan(small_blobs, eps=0.08, min_pts=6)
-        for engine in ("exact", "sampled", "summary"):
-            res = fit(
-                small_blobs, eps=0.08, min_pts=6, engine=engine,
-                builder="scan", builder_block_size=64,
-            )
-            # builder choice only changes how MCs are built, never the
-            # MCs themselves — same count on every path
-            assert (
-                res.extras[ExtraKeys.N_MICRO_CLUSTERS]
-                == baseline.extras[ExtraKeys.N_MICRO_CLUSTERS]
-            )
-        # a bogus builder is rejected on every engine path, proving the
-        # keyword really reaches the micro-cluster layer
+        res = fit(
+            small_blobs, eps=0.08, min_pts=6,
+            builder="scan", builder_block_size=64,
+        )
+        # builder choice only changes how MCs are built, never the MCs
+        # themselves — same count on every path
+        assert (
+            res.extras[ExtraKeys.N_MICRO_CLUSTERS]
+            == baseline.extras[ExtraKeys.N_MICRO_CLUSTERS]
+        )
+        # a bogus builder is rejected, proving the keyword really
+        # reaches the micro-cluster layer
         with pytest.raises(ValueError, match="builder"):
             fit(small_blobs, eps=0.08, min_pts=6, builder="nope")
-        with pytest.raises(ValueError, match="builder"):
-            fit(
-                small_blobs, eps=0.08, min_pts=6, engine="summary",
-                builder="nope",
-            )
+
+    @pytest.mark.parametrize(
+        "keyword",
+        ["engine", "engine_options", "sample_fraction", "selection",
+         "link_factor", "seed", "minpts", "min_samples"],
+    )
+    def test_retired_keywords_are_unknown(self, small_blobs, keyword):
+        from repro import MuDBSCAN, fit_model
+
+        for call in (
+            lambda: fit(small_blobs, 0.08, 6, **{keyword: 1}),
+            lambda: fit_model(small_blobs, 0.08, 6, **{keyword: 1}),
+            lambda: MuDBSCAN(0.08, 6, **{keyword: 1}),
+        ):
+            with pytest.raises(TypeError, match=keyword):
+                call()
 
     def test_deep_imports_still_work(self):
         from repro.core.mudbscan import mu_dbscan as deep_fit
@@ -87,60 +92,32 @@ class TestFacade:
         assert extras_mod.N_MICRO_CLUSTERS == ExtraKeys.N_MICRO_CLUSTERS
 
 
-class TestDeprecatedAliases:
-    def test_minpts_alias_warns_once_and_works(self, small_blobs):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = fit(small_blobs, eps=0.08, minpts=6)
-            second = fit(small_blobs, eps=0.08, minpts=6)
-        repro_warnings = [
-            w for w in caught if issubclass(w.category, ReproDeprecationWarning)
-        ]
-        assert len(repro_warnings) == 1
-        assert "minpts" in str(repro_warnings[0].message)
-        assert "min_pts" in str(repro_warnings[0].message)
-        canonical = fit(small_blobs, eps=0.08, min_pts=6)
-        np.testing.assert_array_equal(first.labels, canonical.labels)
-        np.testing.assert_array_equal(second.labels, canonical.labels)
+class TestFitParity:
+    """``fit`` is ``mu_dbscan`` — bit-identical fingerprints — and exact
+    against the brute-force oracle."""
 
-    def test_each_alias_warns_separately(self, small_blobs):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            fit(small_blobs, eps=0.08, minpts=6)
-            fit(small_blobs, eps=0.08, min_samples=6)
-        repro_warnings = [
-            w for w in caught if issubclass(w.category, ReproDeprecationWarning)
-        ]
-        assert len(repro_warnings) == 2
+    @pytest.mark.parametrize("name", dataset_names())
+    def test_registry_fingerprints(self, name):
+        pts, spec = load_dataset(name, scale=PARITY_SCALE, seed=0)
+        via_facade = fit(pts, spec.eps, spec.min_pts)
+        direct = mu_dbscan(pts, spec.eps, spec.min_pts)
+        assert via_facade.fingerprint() == direct.fingerprint()
+        np.testing.assert_array_equal(via_facade.labels, direct.labels)
+        np.testing.assert_array_equal(via_facade.core_mask, direct.core_mask)
+        assert via_facade.counters.dist_calcs == direct.counters.dist_calcs
+        assert via_facade.algorithm == direct.algorithm == "mu_dbscan"
+        assert via_facade.extras == direct.extras
+        oracle = brute_dbscan(pts, spec.eps, spec.min_pts)
+        assert check_exact(via_facade, oracle, points=pts).ok
 
-    def test_nranks_alias_on_distributed(self, medium_blobs_3d):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            res = fit_distributed(medium_blobs_3d, 0.25, 10, nranks=2)
-        assert res.extras[ExtraKeys.N_RANKS] == 2
-        assert any(
-            issubclass(w.category, ReproDeprecationWarning) for w in caught
-        )
-
-    def test_both_spellings_is_type_error(self, small_blobs):
-        with pytest.raises(TypeError, match="minpts"):
-            fit(small_blobs, eps=0.08, min_pts=6, minpts=6)
-
-    def test_is_a_deprecation_warning_subclass(self):
-        assert issubclass(ReproDeprecationWarning, DeprecationWarning)
-
-    def test_aliases_cover_the_stable_surface(self):
-        from repro.baselines import brute_dbscan, g_dbscan, grid_dbscan, rtree_dbscan
-        from repro.serving.model import fit_model
-
-        for fn in (mu_dbscan, fit_model, brute_dbscan, rtree_dbscan,
-                   g_dbscan, grid_dbscan):
-            assert fn.__deprecated_aliases__["minpts"] == "min_pts"
-        for fn in (mu_dbscan_d, fit_distributed):
-            assert fn.__deprecated_aliases__["nranks"] == "n_ranks"
-            assert fn.__deprecated_aliases__["num_ranks"] == "n_ranks"
-
-    def test_canonical_spellings_never_warn(self, small_blobs):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ReproDeprecationWarning)
-            fit(small_blobs, eps=0.08, min_pts=6)
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_metric_fingerprints(self, small_blobs, metric):
+        via_facade = fit(small_blobs, eps=0.08, min_pts=6, metric=metric)
+        direct = mu_dbscan(small_blobs, eps=0.08, min_pts=6, metric=metric)
+        np.testing.assert_array_equal(via_facade.labels, direct.labels)
+        np.testing.assert_array_equal(via_facade.core_mask, direct.core_mask)
+        assert via_facade.counters.dist_calcs == direct.counters.dist_calcs
+        oracle = brute_dbscan(small_blobs, 0.08, 6, metric=metric)
+        assert check_exact(
+            via_facade, oracle, points=small_blobs, metric=metric
+        ).ok

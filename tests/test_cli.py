@@ -74,6 +74,20 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["run"])
 
+    @pytest.mark.parametrize("command", ["run", "fit"])
+    @pytest.mark.parametrize(
+        "flag", [["--engine", "sampled"], ["--sample-fraction", "0.4"]]
+    )
+    def test_engine_flags_are_gone(self, tmp_path, capsys, command, flag):
+        argv = [command, "--dataset", "3DSRN", "--scale", "0.04", *flag]
+        if command == "fit":
+            argv += ["--save", str(tmp_path / "m.mudb")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "m.mudb").exists()
+
     def test_compare_exact_returns_zero(self):
         assert main(["compare", "--dataset", "3DSRN", "--scale", "0.1"]) == 0
 

@@ -156,6 +156,12 @@ class TestEstimatorAPI:
         assert est.n_clusters_ == est.result_.n_clusters
         assert est.core_sample_mask_.dtype == bool
 
+    def test_fit_attributes(self, small_blobs):
+        est = MuDBSCAN(eps=0.08, min_pts=6).fit(small_blobs)
+        assert est.labels_.shape == (small_blobs.shape[0],)
+        assert est.core_sample_mask_.dtype == bool
+        assert est.n_clusters_ >= 1
+
     def test_unfitted_access_raises(self):
         est = MuDBSCAN(eps=0.1, min_pts=5)
         with pytest.raises(RuntimeError, match="fit"):
@@ -166,6 +172,34 @@ class TestEstimatorAPI:
             MuDBSCAN(eps=0.0, min_pts=5)
         with pytest.raises(ValueError, match="min_pts"):
             MuDBSCAN(eps=1.0, min_pts=0)
+
+    def test_get_params_round_trip(self, small_blobs):
+        est = MuDBSCAN(
+            eps=0.08, min_pts=6, aux_index="flat", filtration=False,
+            defer_2eps=False, dynamic_wndq=False, batch_queries=False,
+            block_size=32, builder="scan", builder_block_size=64,
+            max_entries=16, metric="manhattan",
+        )
+        params = est.get_params()
+        assert list(params) == [
+            "eps", "min_pts", "aux_index", "filtration", "defer_2eps",
+            "dynamic_wndq", "batch_queries", "block_size", "builder",
+            "builder_block_size", "max_entries", "metric",
+        ]
+        clone = MuDBSCAN(**params)
+        assert clone.get_params() == params
+        a = est.fit_predict(small_blobs)
+        b = clone.fit_predict(small_blobs)
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(
+            a, mu_dbscan(small_blobs, 0.08, 6, metric="manhattan").labels
+        )
+
+    def test_repr_shows_non_defaults_only(self):
+        plain = repr(MuDBSCAN(eps=0.08, min_pts=6))
+        assert plain == "MuDBSCAN(eps=0.08, min_pts=6)"
+        tuned = repr(MuDBSCAN(eps=0.08, min_pts=6, builder="scan"))
+        assert tuned == "MuDBSCAN(eps=0.08, min_pts=6, builder='scan')"
 
 
 class TestParams:

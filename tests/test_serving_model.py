@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import struct
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.extras import ExtraKeys
 from repro.core.mudbscan import mu_dbscan
 from repro.serving.model import (
     FORMAT_VERSION,
@@ -19,7 +22,13 @@ from repro.serving.model import (
     load_model,
     save_model,
 )
-from repro.serving.predict import brute_predict, predict_model
+from repro.serving.predict import PredictResult, brute_predict, predict_model
+
+#: artifacts written by the retired approximate engines (``fit_model(...,
+#: engine="sampled", seed=0)`` / ``engine="summary"`` on the
+#: ``small_blobs`` fixture, ε=0.08, MinPts=6); exact is the only fit
+#: engine now, but those files must keep loading and serving
+LEGACY_ARTIFACTS = Path(__file__).parent / "data"
 
 
 def _assert_models_equal(a: FittedModel, b: FittedModel) -> None:
@@ -45,6 +54,12 @@ class TestFitModel:
         np.testing.assert_array_equal(model.core_mask, ref.core_mask)
         assert model.n_micro_clusters == ref.extras["n_micro_clusters"]
         assert model.to_result().fingerprint() == ref.fingerprint()
+
+    def test_algorithm_is_exact(self, small_blobs):
+        model = fit_model(small_blobs, 0.08, 6)
+        ref = mu_dbscan(small_blobs, 0.08, 6)
+        assert model.algorithm == ref.algorithm == "mu_dbscan"
+        assert model.engine == model.meta["engine"] == "exact"
 
     def test_member_lists_partition_dataset(self, small_blobs):
         model = fit_model(small_blobs, 0.08, 6)
@@ -165,6 +180,59 @@ class TestRoundTrip:
         np.testing.assert_array_equal(got.labels, want.labels)
         np.testing.assert_array_equal(got.would_be_core, want.would_be_core)
         np.testing.assert_array_equal(got.nearest_core, want.nearest_core)
+
+
+class TestEngineArtifacts:
+    """``meta["engine"]`` is provenance only: an artifact from any engine
+    loads, re-saves and predicts exactly what the brute oracle says on
+    its stored points, labels and core flags."""
+
+    @pytest.mark.parametrize("engine", ["exact", "sampled", "summary"])
+    def test_save_load_predict(self, tmp_path, small_blobs, rng, engine):
+        if engine == "exact":
+            model = fit_model(small_blobs, 0.08, 6)
+        else:
+            model = load_model(LEGACY_ARTIFACTS / f"{engine}_engine.mudb")
+            np.testing.assert_array_equal(model.points, small_blobs)
+        assert model.engine == engine
+        loaded = load_model(save_model(model, tmp_path / "m.mudb"))
+        _assert_models_equal(model, loaded)
+        assert loaded.engine == engine
+        assert loaded.meta["engine_options"] == model.meta["engine_options"]
+        queries = np.vstack(
+            [small_blobs[::5], rng.uniform(-2, 2, (40, small_blobs.shape[1]))]
+        )
+        got = predict_model(loaded, queries)
+        want = brute_predict(
+            loaded.points, loaded.labels, loaded.core_mask,
+            loaded.params.eps, loaded.params.min_pts, queries,
+            metric=loaded.metric,
+        )
+        for f in fields(PredictResult):
+            np.testing.assert_array_equal(
+                getattr(got, f.name), getattr(want, f.name), err_msg=f.name
+            )
+
+    def test_legacy_cores_are_true_cores(self, small_blobs):
+        exact = mu_dbscan(small_blobs, 0.08, 6)
+        for engine in ("sampled", "summary"):
+            model = load_model(LEGACY_ARTIFACTS / f"{engine}_engine.mudb")
+            # approximate engines certified fewer cores than exact, and
+            # never a point exact does not call core
+            assert not np.any(model.core_mask & ~exact.core_mask), engine
+            assert model.core_mask.sum() < exact.core_mask.sum(), engine
+
+    def test_engine_extras_provenance(self):
+        sampled = load_model(LEGACY_ARTIFACTS / "sampled_engine.mudb")
+        assert sampled.algorithm == "mu_dbscan_sampled"
+        assert sampled.extras[ExtraKeys.ENGINE] == "sampled"
+        opts = sampled.extras[ExtraKeys.ENGINE_OPTIONS]
+        assert opts == sampled.meta["engine_options"]
+        assert opts["sample_fraction"] == 0.4 and opts["seed"] == 0
+        summary = load_model(LEGACY_ARTIFACTS / "summary_engine.mudb")
+        assert summary.algorithm == "mu_dbscan_summary"
+        assert summary.extras[ExtraKeys.ENGINE] == "summary"
+        assert summary.extras[ExtraKeys.ENGINE_OPTIONS] == {"link_factor": None}
 
 
 class TestCorruption:

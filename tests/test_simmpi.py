@@ -1,10 +1,9 @@
-"""Tests for the simulated MPI substrate."""
+"""Tests for the simulated MPI substrate (the thread backend)."""
 
 import numpy as np
 import pytest
 
-from repro.distributed.simmpi.comm import Communicator, World
-from repro.distributed.simmpi.launcher import run_mpi
+from repro.distributed.backends.thread import ThreadCommunicator, World, run_mpi
 
 
 class TestPointToPoint:
@@ -64,7 +63,7 @@ class TestPointToPoint:
 
     def test_invalid_rank_targets(self):
         world = World(2)
-        comm = Communicator(world, 0)
+        comm = ThreadCommunicator(world, 0)
         with pytest.raises(ValueError, match="dest"):
             comm.send(1, dest=5)
         with pytest.raises(ValueError, match="source"):

@@ -1,8 +1,8 @@
 """Stress and property tests for the simulated MPI substrate.
 
-The distributed algorithms' correctness rests on simmpi honouring MPI's
-ordering and matching semantics under load — these tests hammer those
-guarantees harder than the happy-path unit tests.
+The distributed algorithms' correctness rests on the thread backend
+honouring MPI's ordering and matching semantics under load — these
+tests hammer those guarantees harder than the happy-path unit tests.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.distributed.simmpi.launcher import run_mpi
+from repro.distributed.backends.thread import run_mpi
 
 _SETTINGS = settings(
     max_examples=15,

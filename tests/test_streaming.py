@@ -8,11 +8,9 @@ Coverage, per docs/STREAMING.md:
   registry dataset × every metric;
 * hypothesis-driven adversarial updates around the ε boundary;
 * compaction idempotence and the sub-linear update-cost contract;
-* the ``repro.api.stream`` facade, the deprecated ``insert``/``cluster``
-  shims, and the serving :class:`StreamingEngine` integration.
+* the ``repro.api.stream`` facade and the serving
+  :class:`StreamingEngine` integration.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -20,10 +18,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import brute_dbscan, check_exact, mu_dbscan, stream
-from repro._compat import ReproDeprecationWarning, reset_warned
 from repro.data.registry import dataset_names, load_dataset
 from repro.data.synthetic import blobs_with_noise, uniform_box
-from repro.streaming import IncrementalMuDBSCAN, StreamingMuDBSCAN
+from repro.streaming import StreamingMuDBSCAN
 from repro.validation.exactness import check_window_parity
 
 METRICS = ("euclidean", "manhattan", "chebyshev")
@@ -378,31 +375,8 @@ class TestStreamingAPI:
         assert c.ids_.shape == (120,)
         assert c.core_sample_mask_.shape == (120,)
         assert c.n_clusters_ >= 0
-        with pytest.raises(ValueError, match="engine"):
+        with pytest.raises(TypeError, match="engine"):
             stream(0.1, 4, engine="exact")
-
-    def test_min_samples_alias_warns(self):
-        reset_warned()
-        with pytest.warns(ReproDeprecationWarning, match="min_samples"):
-            c = stream(0.1, min_samples=4)
-        assert c.params.min_pts == 4
-        with pytest.warns(ReproDeprecationWarning, match="min_samples"):
-            StreamingMuDBSCAN(eps=0.1, min_samples=4)
-
-    def test_deprecated_insert_cluster_shims(self):
-        reset_warned()
-        pts = uniform_box(80, 2, seed=101)
-        inc = IncrementalMuDBSCAN(eps=0.15, min_pts=3, dim=2)
-        with pytest.warns(ReproDeprecationWarning, match="partial_fit"):
-            inc.insert(pts)
-        with pytest.warns(ReproDeprecationWarning, match="result"):
-            res = inc.cluster()
-        assert check_exact(res, brute_dbscan(pts, 0.15, 3), points=pts).ok
-        # second call: already warned this process, stays silent
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ReproDeprecationWarning)
-            inc.insert(pts[:1])
-            inc.cluster()
 
     def test_result_provenance(self):
         from repro.core.extras import ExtraKeys
