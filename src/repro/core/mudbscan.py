@@ -61,17 +61,17 @@ def run_mu_dbscan_state(
     progress_cb=None,
     _prebuilt_murtree: MuRTree | None = None,
 ) -> tuple[MuDBSCANState, PhaseTimer]:
-    """Run μDBSCAN and return the raw state (flags + union-find).
+    """Run μDBSCAN and return the raw state (flags + merge components).
 
     This is the entry point the distributed driver uses: the local step
-    of μDBSCAN-D needs the core flags and the union-find of the
+    of μDBSCAN-D needs the core flags and the merge components of the
     local-plus-halo point set, not just final labels.  ``process_mask``
     restricts Algorithm 6 to the masked (owned) rows, and
     ``state_factory`` lets μDBSCAN-D substitute its ownership-aware
     state subclass.
 
     ``batch_queries`` / ``block_size`` select the MC-batched
-    neighborhood engine for Algorithms 6 and 8 (state-for-state and
+    neighborhood engine for Algorithm 6 (state-for-state and
     counter-for-counter equivalent to the per-point path; see
     ``repro.core.remaining``).
 
@@ -134,7 +134,8 @@ def run_mu_dbscan_state(
         "post_processing"
     ) as span, maybe_profile("post_processing", span=span):
         postprocess_core(state)
-        postprocess_noise(state, batch_queries=batch_queries)
+        postprocess_noise(state)
+        state.components()  # fold the last edges; charges counters.unions
 
     eligible = state.n if process_mask is None else int(np.count_nonzero(process_mask))
     counters.queries_saved += eligible - counters.queries_run
@@ -240,7 +241,7 @@ def mu_dbscan(
             timers=timers,
         )
     publish_run(get_registry(), counters, timers, algorithm="mu_dbscan")
-    labels = state.uf.labels(noise_mask=state.final_noise_mask())
+    labels = state.labels()
     kind_counts = {kind.name: 0 for kind in MCKind}
     for mc in state.murtree.mcs:
         kind_counts[mc.kind(params.min_pts).name] += 1

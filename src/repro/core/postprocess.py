@@ -1,4 +1,8 @@
-"""Step 4 of μDBSCAN — Algorithms 7 & 8 (final connections).
+"""Step 4 of μDBSCAN — Algorithms 7 & 8 (final connections), as edges.
+
+Algorithms 4 and 6 leave their merges in the state's edge buffer;
+nothing here unions pairs one at a time.  Step 4 turns the buffer into
+clusters in three moves: edges → components → more edges → components.
 
 **POST-PROCESSING-CORE** (Alg. 7): a wndq-core point never ran its
 query, so merges with *other* core points discovered later may be
@@ -10,19 +14,28 @@ every core-core ε-edge is merged — maximality for cores.  The pass is
 distance computations only (cheaper than a neighborhood query, as the
 paper stresses).
 
-Implementation note: the paper skips a distance computation when the
-two cores are already in the same cluster.  Per-pair ``find`` calls are
-the wrong trade-off in Python, so the cached-μR-tree path batches
-instead: all wndq-cores of one MC share a candidate block, the block's
-(wndq × core-candidate) distance matrix is computed in one vectorized
-pass, and the induced bipartite ε-graph is collapsed with a single
-``connected_components`` call — the union-find then needs at most one
-merge per node rather than one per ε-edge.
+The paper skips a distance computation when two cores already share a
+cluster; per-pair ``find`` calls are the wrong trade-off in Python.
+The cached-μR-tree path instead works on components:
+
+1. one connected-components pass over the Algorithm 4/6 edges gives
+   every point its component id ``comp``;
+2. the wndq-cores of one MC share a candidate block, and the block's
+   full (wndq × core-candidate) distance matrix is computed in one
+   vectorized pass (so ``dist_calcs`` counts every pair);
+3. the block's ε-hits are reduced to component pairs — per row
+   component, which candidate components any of its rows reach — and
+   each new pair becomes one core–core edge.
+
+A few deduplicated edges per block replace one union per ε-edge.  The
+final labels come from one more pass over the component graph
+(:meth:`MuDBSCANState.components`).
 
 **POST-PROCESSING-NOISE** (Alg. 8): a provisional-noise point ``p``
 stored its ε-neighborhood; if any of those neighbors is core *now*,
 ``p`` is a border point of that core's cluster, not noise.  No new
-queries are needed.
+queries are needed: the rescues are one vectorized "first stored core
+neighbor" edge array.
 """
 
 from __future__ import annotations
@@ -30,37 +43,58 @@ from __future__ import annotations
 from collections import defaultdict
 
 import numpy as np
-import scipy.sparse as sparse
-from scipy.sparse.csgraph import connected_components
 
 from repro.core.state import MuDBSCANState
-
 
 __all__ = ["postprocess_core", "postprocess_noise"]
 
 
+def _link_component_pairs(
+    state: MuDBSCANState,
+    comp: np.ndarray,
+    rows: np.ndarray,
+    cands: np.ndarray,
+    hit: np.ndarray,
+) -> None:
+    """One edge per (row component, candidate component) that ``hit``
+    (rows × cands, ε-adjacency) joins for the first time in this block.
+
+    Every emitted edge has two core endpoints: a row of the component
+    and the first hit candidate of the other component.
+    """
+    row_comp = comp[rows]
+    cand_comp = comp[cands]
+    uniq, first_row, inv = np.unique(row_comp, return_index=True, return_inverse=True)
+    inv = inv.reshape(-1)
+    for g in range(uniq.size):
+        # usually one component: every wndq row of a DMC/CMC joined its
+        # center in Algorithm 4
+        reach = hit[inv == g].any(axis=0) if uniq.size > 1 else hit.any(axis=0)
+        reached = cand_comp[reach]
+        new = reached != uniq[g]
+        _, first = np.unique(reached[new], return_index=True)
+        state.union(int(rows[first_row[g]]), cands[reach][new][first])
+
+
 def _postprocess_core_batched(state: MuDBSCANState) -> None:
-    """Cached-mode Algorithm 7: per-MC blocks + component collapse.
+    """Cached-mode Algorithm 7: per-MC blocks reduced to component edges.
 
     Two candidate classes per MC block:
 
     * *proven cores* (``state.core``) — safe to chain through: every
-      graph node is a core, so connected components are density
-      connected and one union per node reconstructs them;
+      node is a core, so component pairs are density connections;
     * *unknown candidates* (``postprocess_unknown_mask``; only the
       distributed state has any) — halo points whose core status lives
-      at a remote rank.  They must not glue local components, so they
-      never enter the graph; instead each ε-adjacent (block, candidate)
-      relation is forwarded once through ``state.union`` (which the
-      distributed state turns into a cross pair, judged at the global
-      merge under the real flags).  One emission per block suffices:
-      all wndq-cores of an MC are already in one local component via
-      their center (Algorithm 4).
+      at a remote rank.  They must not glue local components, so each
+      ε-adjacent candidate is paired with its first adjacent block row
+      (the distributed state turns the edge into a cross pair, judged
+      at the global merge under the real flags).
     """
     eps_raw = state.eps_raw
     metric = state.murtree.metric
     points = state.murtree.points
     counters = state.counters
+    comp = state.components()
     by_mc: dict[int, list[int]] = defaultdict(list)
     for row in state.wndq_corelist:
         by_mc[int(state.murtree.point_mc[row])].append(row)
@@ -74,38 +108,16 @@ def _postprocess_core_batched(state: MuDBSCANState) -> None:
         core_cand = candidates[state.core[candidates]]
         if core_cand.size:
             counters.dist_calcs += int(rows.size) * int(core_cand.size)
-            raw = metric.raw_pairwise(points[rows], points[core_cand])
-            ii, jj = np.nonzero(raw < eps_raw)
-            if ii.size:
-                k = int(rows.size)
-                nodes = np.concatenate([rows, core_cand])
-                graph = sparse.coo_matrix(
-                    (np.ones(ii.size, dtype=np.int8), (ii, jj + k)),
-                    shape=(nodes.size, nodes.size),
-                )
-                _, comp = connected_components(graph, directed=False)
-                order = np.argsort(comp, kind="stable")
-                sorted_comp = comp[order]
-                starts = np.flatnonzero(
-                    np.concatenate([[True], sorted_comp[1:] != sorted_comp[:-1]])
-                )
-                for s, e in zip(starts, np.append(starts[1:], sorted_comp.size)):
-                    if e - s < 2:
-                        continue
-                    group = nodes[order[s:e]]
-                    anchor = int(group[0])
-                    for other in group[1:]:
-                        if int(other) != anchor:
-                            state.union(anchor, int(other))
+            hit = metric.raw_pairwise(points[rows], points[core_cand]) < eps_raw
+            _link_component_pairs(state, comp, rows, core_cand, hit)
 
         unknown_cand = candidates[state.postprocess_unknown_mask(candidates)]
         if unknown_cand.size:
             counters.dist_calcs += int(rows.size) * int(unknown_cand.size)
-            raw = metric.raw_pairwise(points[rows], points[unknown_cand])
-            hit = raw < eps_raw
-            for j in np.flatnonzero(hit.any(axis=0)):
-                i = int(np.argmax(hit[:, j]))  # first adjacent block row
-                state.union(int(rows[i]), int(unknown_cand[int(j)]))
+            hit = metric.raw_pairwise(points[rows], points[unknown_cand]) < eps_raw
+            cols = np.flatnonzero(hit.any(axis=0))
+            first_row = np.argmax(hit[:, cols], axis=0)  # first adjacent block row
+            state.union(rows[first_row], unknown_cand[cols])
 
 
 def postprocess_core(state: MuDBSCANState) -> None:
@@ -121,69 +133,31 @@ def postprocess_core(state: MuDBSCANState) -> None:
     counters = state.counters
     for row in state.wndq_corelist:
         candidates = state.murtree.candidates_for_postprocessing(row)
-        if candidates.size == 0:
-            continue
         core_candidates = candidates[state.postprocess_candidate_mask(candidates)]
         if core_candidates.size == 0:
             continue
         counters.dist_calcs += int(core_candidates.size)
         raw = metric.raw_to_point(points[core_candidates], points[row])
-        for q in core_candidates[raw < eps_raw]:
-            qi = int(q)
-            if qi != row:
-                state.union(row, qi)
+        near = core_candidates[raw < eps_raw]
+        state.union(row, near[near != row])
 
 
-def postprocess_noise(state: MuDBSCANState, *, batch_queries: bool = True) -> None:
+def postprocess_noise(state: MuDBSCANState) -> None:
     """Run Algorithm 8 over the noise list (rescue mislabelled borders).
 
     The stored neighborhoods are re-checked against the *final* core
-    flags.  ``batch_queries=True`` concatenates every pending row's
-    stored list and performs the core-flag gather in one vectorized
-    pass; only rows that actually own a core neighbor pay Python-level
-    work.  The rescues are independent of each other — a rescue union
-    touches the rescued row and an (always core, hence never
-    noise-listed) neighbor, so no rescue can change another pending
-    row's skip condition — which makes the upfront skip mask exactly
-    the mask the sequential loop evaluates row by row.
+    flags in one vectorized pass: every still-unassigned, non-core
+    noise-listed row with a core neighbor gets one edge to its first
+    stored core neighbor, in noise-list order.  A row assigned earlier
+    is skipped — a second merge could connect two *different* clusters
+    through a non-core point, which is not a density connection.  The
+    rescues are independent of each other (a rescue touches the
+    rescued row and a core, hence never noise-listed, neighbor), so the
+    upfront skip mask is exactly the one a row-by-row loop evaluates.
     """
-    if not state.noise_nbrs:
-        return
-    if not batch_queries:
-        for row, nbrs in state.noise_nbrs.items():
-            if state.assigned[row] or state.core[row]:
-                # already rescued: a core point processed after this one
-                # was noise-listed found it in its own query and merged
-                # it.  A second merge here could connect two *different*
-                # clusters through this non-core point, which is not a
-                # density connection — skip.
-                continue
-            core_nbrs = nbrs[state.core[nbrs]]
-            if core_nbrs.size:
-                state.union(int(core_nbrs[0]), row)
-        return
-
-    # insertion order preserved: unions happen in the same order as the
-    # sequential loop, keeping border-claim determinism bit-for-bit
-    rows = np.fromiter(state.noise_nbrs.keys(), dtype=np.int64, count=len(state.noise_nbrs))
-    live = rows[~state.assigned[rows] & ~state.core[rows]]
-    if live.size == 0:
-        return
-    lists = [state.noise_nbrs[int(r)] for r in live]
-    lens = np.fromiter((l.shape[0] for l in lists), dtype=np.int64, count=live.size)
-    if np.any(lens == 0):  # empty neighborhoods can never be rescued
-        keep = lens > 0
-        live = live[keep]
-        lists = [l for l in lists if l.shape[0]]
-        lens = lens[keep]
-    if live.size == 0:
-        return
-    flat = np.concatenate(lists)
-    is_core = state.core[flat]
-    offsets = np.zeros(live.size + 1, dtype=np.int64)
-    np.cumsum(lens, out=offsets[1:])
-    has_core = np.add.reduceat(is_core, offsets[:-1]) > 0
-    for k in np.flatnonzero(has_core):
-        seg = is_core[offsets[k] : offsets[k + 1]]
-        first = int(flat[offsets[k] + int(np.argmax(seg))])
-        state.union(first, int(live[k]))
+    live = state.pending_noise()
+    owner, flat = state.stored_neighbors(live)
+    hits = np.flatnonzero(state.core[flat])
+    _, first = np.unique(owner[hits], return_index=True)
+    first = hits[first]
+    state.union(flat[first], live[owner[first]])

@@ -10,9 +10,13 @@ Each micro-cluster is classified and yields preliminary clusters:
 * **CMC** — the center alone is provably core (Lemma 2: the whole MC
   lies in its ε-ball).  All members merge with the center.
 * **SMC** — nothing can be concluded; members await Algorithm 6.
+
+Each DMC/CMC contributes one ``(center, members)`` edge array.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.core.state import MuDBSCANState
 from repro.microcluster.microcluster import MCKind
@@ -29,12 +33,10 @@ def process_micro_clusters(state: MuDBSCANState) -> None:
             continue
         assert mc.member_rows is not None and mc.ic_rows is not None
         if kind is MCKind.DMC:
-            for row in mc.ic_rows:
-                state.mark_wndq_core(int(row))
+            state.mark_wndq_cores(mc.ic_rows)
         else:  # CMC
-            state.mark_wndq_core(mc.center_row)
+            state.mark_wndq_cores(np.array([mc.center_row], dtype=np.int64))
         center = mc.center_row
-        for row in mc.member_rows:
-            if int(row) != center:
-                state.union(center, int(row))
+        members = mc.member_rows
+        state.union(center, members[members != center])
         state.assigned[center] = True

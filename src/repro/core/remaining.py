@@ -38,7 +38,7 @@ splits *computing* neighborhoods from *consuming* verdicts:
    then apply exactly the per-point verdict logic above on the
    precomputed neighbor lists.
 
-Because the consumption order, the union order and every flag update
+Because the consumption order, the merge-edge order and every flag update
 are identical to the per-point path, the batched path is
 *state-for-state* equivalent: same cores, same labels, same
 ``noiseList``.  Two details make the counters match too:
@@ -122,6 +122,41 @@ def process_remaining_points(
         _process_per_point(state, dynamic_wndq, process_mask, progress_cb)
 
 
+def _apply_verdict(
+    state: MuDBSCANState,
+    row: int,
+    nbrs: np.ndarray,
+    is_core: bool,
+    inner: np.ndarray | None,
+) -> None:
+    """Consume one queried row's ε-neighborhood (see module docstring).
+
+    ``inner`` is the row's ε/2-neighborhood, or None when the dynamic
+    wndq rule is off or cannot fire.  Every merge is one buffered edge
+    array.
+    """
+    if not is_core:
+        if not state.assigned[row]:
+            core_nbrs = nbrs[state.core[nbrs]]
+            if core_nbrs.size:
+                # border of the 1st core
+                state.union(core_nbrs[0], np.array([row], dtype=np.int64))
+            else:
+                state.noise_nbrs[row] = nbrs.copy()  # provisional noise
+        # an already-assigned border keeps its first cluster; merging it
+        # with a second core would connect two clusters through a
+        # non-core point
+        return
+    state.core[row] = True
+    if inner is not None and inner.shape[0] >= state.params.min_pts:
+        # promoted rows are core from here on, so the merge below
+        # includes them
+        state.mark_wndq_cores(inner[~state.core[inner]])
+    merge = nbrs[(state.core[nbrs] | ~state.assigned[nbrs]) & (nbrs != row)]
+    state.union(row, merge)
+    state.assigned[row] = True
+
+
 def _process_per_point(
     state: MuDBSCANState,
     dynamic_wndq: bool,
@@ -146,34 +181,9 @@ def _process_per_point(
         if progress_cb is not None and consumed % _PROGRESS_EVERY == 0:
             progress_cb(consumed, total)
 
-        if nbrs.shape[0] < min_pts:
-            if not state.assigned[row]:
-                core_nbrs = nbrs[state.core[nbrs]]
-                if core_nbrs.size:
-                    state.union(int(core_nbrs[0]), row)  # border of 1st core
-                else:
-                    state.noise_nbrs[row] = nbrs.copy()  # provisional noise
-            # an already-assigned border keeps its first cluster; merging
-            # it with a second core would connect two clusters through a
-            # non-core point
-            continue
-
-        state.core[row] = True
-        if dynamic_wndq:
-            inner = nbrs[raw < state.half_eps_raw]
-            if inner.shape[0] >= min_pts:
-                for q in inner:
-                    qi = int(q)
-                    if not state.core[qi]:
-                        state.mark_wndq_core(qi)
-                        state.union(row, qi)
-        for q in nbrs:
-            qi = int(q)
-            if qi == row:
-                continue
-            if state.core[qi] or not state.assigned[qi]:
-                state.union(row, qi)
-        state.assigned[row] = True
+        is_core = nbrs.shape[0] >= min_pts
+        inner = nbrs[raw < state.half_eps_raw] if dynamic_wndq and is_core else None
+        _apply_verdict(state, row, nbrs, is_core, inner)
     if progress_cb is not None:
         progress_cb(consumed, total)
 
@@ -240,8 +250,6 @@ def _process_batched(
     local_ix = np.zeros(state.n, dtype=np.int64)
     pos: dict[int, int] = {}
     sub_size: dict[int, int] = {}
-    core = state.core
-    assigned = state.assigned
     for row in pending:
         row = int(row)
         if wndq[row]:
@@ -298,27 +306,11 @@ def _process_batched(
         if progress_cb is not None and consumed % _PROGRESS_EVERY == 0:
             progress_cb(consumed, int(pending.size))
 
-        if block.n_eps[i] < min_pts:
-            if not assigned[row]:
-                core_nbrs = nbrs[core[nbrs]]
-                if core_nbrs.size:
-                    state.union(int(core_nbrs[0]), row)  # border of 1st core
-                else:
-                    state.noise_nbrs[row] = nbrs.copy()  # provisional noise
-            continue
-
-        core[row] = True
-        if dynamic_wndq and block.n_half[i] >= min_pts:
-            inner = block.inner(i)
-            # marking q only flips q's own core flag, so the pre-filtered
-            # set equals what the per-point loop's running check visits
-            for q in inner[~core[inner]]:
-                qi = int(q)
-                state.mark_wndq_core(qi)
-                state.union(row, qi)
-        merge = nbrs[(core[nbrs] | ~assigned[nbrs]) & (nbrs != row)]
-        state.union_many(row, merge)
-        assigned[row] = True
+        is_core = block.n_eps[i] >= min_pts
+        inner = None
+        if dynamic_wndq and is_core and block.n_half[i] >= min_pts:
+            inner = block.inner(i)  # materialised only when the rule fires
+        _apply_verdict(state, row, nbrs, is_core, inner)
     if tracer is not None and rolled_batches:
         # the capped remainder, as one span: counters say how many
         # blocks it stands for and how long their queries took in total

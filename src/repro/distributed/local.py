@@ -4,11 +4,13 @@ Runs the full sequential μDBSCAN machinery on the concatenation of a
 rank's owned points and its ε-halo, with two ownership-aware twists
 implemented by :class:`DistributedMuDBSCANState`:
 
-* ``union(x, y)`` merges immediately only when both endpoints are
-  owned; an owned↔halo merge is *deferred* as a cross pair for the
-  global merge (the halo endpoint's true core/assignment status lives
-  at its owner), and halo↔halo merges are dropped (both owners will
-  handle them).
+* every merge edge is routed by ownership as it is emitted: an
+  owned↔owned edge goes to the local edge buffer (whose components
+  become the fragment's ``intra_edges``); an owned↔halo edge is
+  *deferred* as a cross pair for the global merge (the halo endpoint's
+  true core/assignment status lives at its owner), kept in emission
+  order; a halo↔halo edge is dropped (both owners will handle it).
+  Halo rows therefore stay local singletons.
 * Algorithm 7's candidate mask is widened to include halo candidates
   whatever their local core flag: a halo point that looks non-core here
   may be core globally, and the missing core-core edge would otherwise
@@ -41,7 +43,6 @@ __all__ = ["DistributedMuDBSCANState", "run_local_mu_dbscan"]
 class DistributedMuDBSCANState(MuDBSCANState):
     """Ownership-aware μDBSCAN state (see module docstring)."""
 
-
     def __init__(
         self,
         murtree: MuRTree,
@@ -58,24 +59,40 @@ class DistributedMuDBSCANState(MuDBSCANState):
             )
         self.owned = np.asarray(owned, dtype=bool)
         self.gids = np.asarray(gids, dtype=np.int64)
-        self.cross_pairs: list[tuple[int, int]] = []
+        #: ``(owned gid, halo gid)`` pair arrays in emission order
+        self._cross: list[np.ndarray] = []
 
-    def union(self, x: int, y: int) -> None:
-        x, y = int(x), int(y)
-        xo, yo = bool(self.owned[x]), bool(self.owned[y])
-        if xo and yo:
-            super().union(x, y)
-        elif xo or yo:
-            owned_row, halo_row = (x, y) if xo else (y, x)
-            self.cross_pairs.append(
-                (int(self.gids[owned_row]), int(self.gids[halo_row]))
+    def union(self, x: int | np.ndarray, ys: np.ndarray) -> None:
+        xs = np.broadcast_to(np.int64(x), ys.shape)
+        xo = self.owned[xs]
+        yo = self.owned[ys]
+        local = xo & yo
+        if local.all():
+            super().union(x, ys)
+            return
+        if local.any():
+            super().union(xs[local], ys[local])
+        cross = xo != yo
+        if cross.any():
+            owned_row = np.where(xo, xs, ys)[cross]
+            halo_row = np.where(xo, ys, xs)[cross]
+            self._cross.append(
+                np.column_stack([self.gids[owned_row], self.gids[halo_row]])
             )
         # halo-halo: both owners will see this relation themselves
 
-    def union_many(self, x: int, others: np.ndarray) -> None:
-        # per pair: each owned-halo edge must become its own cross pair
-        for q in others.tolist():
-            self.union(x, q)
+    def cross_pairs(self) -> np.ndarray:
+        """The emitted cross pairs, deduplicated keeping first occurrence.
+
+        Duplicates are common (Algorithms 6 and 7 both touch the same
+        owned-halo edges); keeping the first occurrence keeps border
+        claims in emission order while the exchanged volume shrinks.
+        """
+        if not self._cross:
+            return np.empty((0, 2), dtype=np.int64)
+        pairs = np.concatenate(self._cross)
+        _, first = np.unique(pairs, axis=0, return_index=True)
+        return pairs[np.sort(first)]
 
     def postprocess_candidate_mask(self, candidates: np.ndarray) -> np.ndarray:
         # locally-known cores plus every halo point (globally judged)
@@ -83,45 +100,37 @@ class DistributedMuDBSCANState(MuDBSCANState):
 
     def postprocess_unknown_mask(self, candidates: np.ndarray) -> np.ndarray:
         # halo points not locally proven core: their ε-relations become
-        # cross pairs, never local unions
+        # cross pairs, never local merges
         return ~self.owned[candidates] & ~self.core[candidates]
 
 
 def _emit_noise_rescue_pairs(state: DistributedMuDBSCANState) -> None:
-    """Distributed Algorithm 8: unresolved noise may border a remote core."""
-    for row, nbrs in state.noise_nbrs.items():
-        if not state.owned[row] or state.assigned[row] or state.core[row]:
-            continue
-        for q in nbrs[~state.owned[nbrs]]:
-            state.cross_pairs.append((int(state.gids[row]), int(state.gids[int(q)])))
+    """Distributed Algorithm 8: unresolved noise may border a remote core.
+
+    Every still-unassigned, non-core noise-listed row is paired with
+    each of its halo neighbors, in noise-list order.
+    """
+    live = state.pending_noise()
+    owner, flat = state.stored_neighbors(live)
+    halo = ~state.owned[flat]
+    state.union(live[owner[halo]], flat[halo])
 
 
 def _extract_intra_edges(state: DistributedMuDBSCANState) -> np.ndarray:
-    """(gid, gid-of-local-root) for every owned point merged locally.
+    """(gid, gid of its component's first row) for every owned point
+    merged locally.
 
-    One batched roots pass (union-find pointer jumping over the whole
-    parent array) replaces a per-row Python ``find`` loop; owned rows
-    only ever union with owned rows, so every root of an owned row is
-    itself owned and its gid is well-defined.
+    Owned rows only ever merge with owned rows, so the first row of an
+    owned row's component is itself owned and its gid well-defined.
     """
+    comp = state.components()
+    _, first_row = np.unique(comp, return_index=True)
     rows = np.flatnonzero(state.owned)
-    roots = state.uf.roots()[rows]
+    roots = first_row[comp[rows]]
     merged = roots != rows
     if not merged.any():
         return np.empty((0, 2), dtype=np.int64)
     return np.column_stack([state.gids[rows[merged]], state.gids[roots[merged]]])
-
-
-def _extract_intra_edges_loop(state: DistributedMuDBSCANState) -> np.ndarray:
-    """Reference per-row implementation (kept for the parity test)."""
-    edges: list[tuple[int, int]] = []
-    for row in np.flatnonzero(state.owned):
-        root = state.uf.find(int(row))
-        if root != row:
-            edges.append((int(state.gids[row]), int(state.gids[root])))
-    if not edges:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.asarray(edges, dtype=np.int64)
 
 
 def run_local_mu_dbscan(
@@ -183,19 +192,12 @@ def run_local_mu_dbscan(
     assert isinstance(state, DistributedMuDBSCANState)
     _emit_noise_rescue_pairs(state)
 
-    # duplicate pairs are common (Algorithm 6 and 7 both touch the same
-    # owned-halo edges); dedupe keeping first occurrence so border-claim
-    # order stays deterministic while the exchanged volume shrinks
-    if state.cross_pairs:
-        cross = np.asarray(list(dict.fromkeys(state.cross_pairs)), dtype=np.int64)
-    else:
-        cross = np.empty((0, 2), dtype=np.int64)
     return LocalFragment(
         owned_gids=all_gids[:n_owned],
         core=state.core[:n_owned].copy(),
         assigned=state.assigned[:n_owned].copy(),
         intra_edges=_extract_intra_edges(state),
-        cross_pairs=cross,
+        cross_pairs=state.cross_pairs(),
         counters=counters,
         stats={
             "phase_seconds": timers.as_dict(),

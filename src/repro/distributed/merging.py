@@ -15,9 +15,11 @@ every rank deterministically replays:
    * neither core         → no-op (e.g. a noise-rescue probe whose halo
      endpoint turned out non-core).
 
-No neighborhood query is executed here — the merge is pure union-find
-traffic, which is why the paper's merge phase stays below ~4% of the
-run (Table VII).
+The cross-pair verdicts read only the flags, so they are decided in one
+ordered pass (``_claim_pass``); the intra edges plus the accepted pairs
+then go through one connected-components call.  No neighborhood query
+is executed here, which is why the paper's merge phase stays below ~4%
+of the run (Table VII).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from repro.distributed.protocol import LocalFragment
 from repro.instrumentation.counters import Counters
-from repro.unionfind.unionfind import UnionFind
+from repro.unionfind.components import dense_labels, edge_components
 
 __all__ = ["resolve_fragments", "MergeOutcome"]
 
@@ -49,6 +51,32 @@ class MergeOutcome:
         self.n_cross_pairs = n_cross_pairs
 
 
+def _claim_pass(
+    fragments: list[LocalFragment], core: np.ndarray, assigned: np.ndarray
+) -> np.ndarray:
+    """The cross pairs the merge accepts, in (rank, emission) order.
+
+    Judging a pair reads only the ``core`` / ``assigned`` flags, never
+    cluster membership, so one ordered pass over the flags decides every
+    pair: core-core pairs are all accepted, and of the border claims on
+    one still-unassigned point only the first is.  ``assigned`` is
+    updated in place for the claimed points.
+    """
+    pairs = np.concatenate(
+        [np.empty((0, 2), dtype=np.int64)] + [frag.cross_pairs for frag in fragments]
+    )
+    a, b = pairs[:, 0], pairs[:, 1]
+    ca, cb = core[a], core[b]
+    border = np.where(ca, b, a)
+    claim = (ca != cb) & ~assigned[border]
+    _, first = np.unique(border[claim], return_index=True)
+    won = np.flatnonzero(claim)[first]
+    assigned[border[won]] = True
+    accept = ca & cb
+    accept[won] = True
+    return pairs[accept]
+
+
 def resolve_fragments(
     fragments: list[LocalFragment],
     n_global: int,
@@ -69,29 +97,14 @@ def resolve_fragments(
         missing = int(n_global - np.count_nonzero(seen))
         raise ValueError(f"fragments do not cover the dataset: {missing} ids unowned")
 
-    uf = UnionFind(n_global, counters=counters)
-    for frag in fragments:
-        for a, b in frag.intra_edges:
-            uf.union(int(a), int(b))
-
-    n_cross = 0
-    for frag in fragments:
-        for a, b in frag.cross_pairs:
-            a, b = int(a), int(b)
-            n_cross += 1
-            if core[a] and core[b]:
-                uf.union(a, b)
-            elif core[a] and not assigned[b]:
-                uf.union(a, b)
-                assigned[b] = True
-            elif core[b] and not assigned[a]:
-                uf.union(a, b)
-                assigned[a] = True
-
-    labels = uf.labels(noise_mask=~core & ~assigned)
+    accepted = _claim_pass(fragments, core, assigned)
+    edges = np.concatenate([accepted] + [frag.intra_edges for frag in fragments])
+    n_comp, comp = edge_components(n_global, edges[:, 0], edges[:, 1])
+    counters.unions += n_global - n_comp
+    labels = dense_labels(comp, noise_mask=~core & ~assigned)
     return MergeOutcome(
         labels=labels,
         core_mask=core,
         assigned_mask=assigned,
-        n_cross_pairs=n_cross,
+        n_cross_pairs=sum(frag.cross_pairs.shape[0] for frag in fragments),
     )

@@ -187,7 +187,7 @@ class FittedModel:
     ) -> "FittedModel":
         """Snapshot a finished :class:`MuDBSCANState` into an artifact."""
         murtree: MuRTree = state.murtree
-        labels = state.uf.labels(noise_mask=state.final_noise_mask())
+        labels = state.labels()
         members = []
         reaches = []
         for mc in murtree.mcs:

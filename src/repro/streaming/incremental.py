@@ -63,6 +63,7 @@ from repro.microcluster.reachability import compute_reachable_batched
 from repro.observability.adapters import publish_run
 from repro.observability.registry import get_registry
 from repro.observability.tracing import maybe_span
+from repro.unionfind.components import dense_labels
 
 __all__ = ["StreamingMuDBSCAN"]
 
@@ -71,20 +72,6 @@ ALGORITHM = "streaming_mu_dbscan"
 #: border-cache sentinels (values < 0; >= 0 means "home core row")
 _UNKNOWN = -2  # never resolved / invalidated
 _NO_HOME = -1  # resolved: no core strictly within eps (noise)
-
-
-def _dense_labels(raw: np.ndarray) -> np.ndarray:
-    """Relabel raw component ids to ``0..k-1`` by first appearance."""
-    out = np.full(raw.shape[0], -1, dtype=np.int64)
-    mask = raw >= 0
-    if not mask.any():
-        return out
-    vals = raw[mask]
-    uniq, first, inv = np.unique(vals, return_index=True, return_inverse=True)
-    rank = np.empty(uniq.shape[0], dtype=np.int64)
-    rank[np.argsort(first, kind="stable")] = np.arange(uniq.shape[0])
-    out[mask] = rank[inv]
-    return out
 
 
 def _grown(arr: np.ndarray, need: int, fill) -> np.ndarray:
@@ -886,7 +873,7 @@ class StreamingMuDBSCAN:
                 has = homes >= 0
                 if has.any():
                     raw[nc_pos[has]] = self._canon_array(self._labels[homes[has]])
-            return _dense_labels(raw)
+            return dense_labels(raw, noise_mask=raw < 0)
 
     @property
     def n_clusters_(self) -> int:

@@ -1,13 +1,14 @@
-"""Disjoint-set (union-find) structures.
+"""Disjoint sets and edge-array connectivity.
 
 The paper follows Patwary et al. in replacing DBSCAN's sequential
 cluster-expansion with union-find merges: every density connection is a
-``UNION``, and clusters are the final components.  The distributed
-variant resolves cross-partition unions collected during local
-clustering (``repro.unionfind.distributed``).
+``UNION``, and clusters are the final components.  The exact fit and
+the distributed merge collect those merges as edge arrays and resolve
+them in one connected-components pass (``repro.unionfind.components``);
+the scalar :class:`UnionFind` serves the oracles and baselines.
 """
 
+from repro.unionfind.components import dense_labels, edge_components
 from repro.unionfind.unionfind import UnionFind
-from repro.unionfind.distributed import GlobalLabeler, resolve_cross_edges
 
-__all__ = ["UnionFind", "GlobalLabeler", "resolve_cross_edges"]
+__all__ = ["UnionFind", "dense_labels", "edge_components"]

@@ -1,7 +1,8 @@
 """Array-backed union-find with path halving and union by rank.
 
-This is the merging workhorse of every algorithm in the repository
-(Algorithm 1's ``UNION`` and all of μDBSCAN's merge steps).  Elements
+This is the merging workhorse of the reference algorithms (Algorithm
+1's ``UNION`` in the oracles and baselines); μDBSCAN itself resolves
+edge arrays with ``repro.unionfind.components``.  Elements
 are dense integers ``0..n-1``; ``find`` uses iterative path halving so
 deep recursions can't overflow, and ``union`` attaches by rank.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.instrumentation.counters import Counters
+from repro.unionfind.components import dense_labels
 
 __all__ = ["UnionFind"]
 
@@ -89,17 +91,4 @@ class UnionFind:
         set; remaining sets are renumbered densely in order of first
         appearance, so labels are deterministic given the structure.
         """
-        roots = self.roots()
-        labels = np.empty(len(self), dtype=np.int64)
-        mapping: dict[int, int] = {}
-        next_label = 0
-        for i in range(len(self)):
-            if noise_mask is not None and noise_mask[i]:
-                labels[i] = -1
-                continue
-            r = int(roots[i])
-            if r not in mapping:
-                mapping[r] = next_label
-                next_label += 1
-            labels[i] = mapping[r]
-        return labels
+        return dense_labels(self.roots(), noise_mask=noise_mask)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import check_exact, mu_dbscan
+from repro import brute_dbscan, check_exact, fit_distributed, mu_dbscan
 from repro.core.params import DBSCANParams
 from repro.core.mudbscan import run_mu_dbscan_state
 from repro.data.synthetic import blobs_with_noise, uniform_box
@@ -30,7 +30,6 @@ from repro.distributed.backends.thread import World, WorldShutdownError, run_mpi
 from repro.distributed.local import (
     DistributedMuDBSCANState,
     _extract_intra_edges,
-    _extract_intra_edges_loop,
     run_local_mu_dbscan,
 )
 from repro.distributed.mudbscan_d import mu_dbscan_d
@@ -254,7 +253,7 @@ class TestProcessFailureHygiene:
 
 
 class TestIntraEdgeExtraction:
-    """Batched-roots `_extract_intra_edges` against the per-row reference."""
+    """Fragments built from the local edge components stay exact."""
 
     def _build_state(self, seed: int) -> DistributedMuDBSCANState:
         pts = blobs_with_noise(400, 2, 4, noise_fraction=0.3, seed=seed)
@@ -279,12 +278,36 @@ class TestIntraEdgeExtraction:
         return state
 
     @pytest.mark.parametrize("seed", [91, 92, 93])
-    def test_matches_reference_loop(self, seed):
+    def test_intra_edges_rebuild_owned_components(self, seed):
+        """Each owned row points at its component's first row, so the
+        edges rebuild exactly the local components; halo rows stay
+        singletons."""
         state = self._build_state(seed)
-        reference = _extract_intra_edges_loop(state)
-        vectorized = _extract_intra_edges(state)
-        np.testing.assert_array_equal(vectorized, reference)
-        assert vectorized.dtype == np.int64
+        edges = _extract_intra_edges(state)
+        assert edges.dtype == np.int64
+        comp = state.components()
+        halo = np.flatnonzero(~state.owned)
+        assert np.unique(comp[halo]).size == halo.size
+        assert not np.isin(comp[halo], comp[state.owned]).any()
+        row_of = {int(g): r for r, g in enumerate(state.gids)}
+        rebuilt = np.arange(state.n)
+        for a, b in edges:
+            ra, rb = row_of[int(a)], row_of[int(b)]
+            assert state.owned[ra] and state.owned[rb]
+            assert comp[ra] == comp[rb] and rb < ra
+            rebuilt[ra] = rb
+        owned = np.flatnonzero(state.owned)
+        _, first_row = np.unique(comp, return_index=True)
+        np.testing.assert_array_equal(rebuilt[owned], first_row[comp[owned]])
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("n_ranks", [2, 4])
+    @pytest.mark.parametrize("seed", [91, 92, 93])
+    def test_fit_distributed_exact_against_oracle(self, seed, n_ranks, backend):
+        pts = blobs_with_noise(400, 2, 4, noise_fraction=0.3, seed=seed)
+        res = fit_distributed(pts, 0.09, 5, n_ranks=n_ranks, backend=backend)
+        report = check_exact(res, brute_dbscan(pts, 0.09, 5), points=pts)
+        assert report.ok, str(report)
 
     def test_empty_when_nothing_merged(self):
         pts = uniform_box(60, 2, seed=7)  # sparse: everything is noise

@@ -105,10 +105,7 @@ class TestProcessMaskEquivalence:
         np.testing.assert_array_equal(a.core, b.core)
         np.testing.assert_array_equal(a.assigned, b.assigned)
         np.testing.assert_array_equal(a.queried, b.queried)
-        np.testing.assert_array_equal(
-            a.uf.labels(noise_mask=a.final_noise_mask()),
-            b.uf.labels(noise_mask=b.final_noise_mask()),
-        )
+        np.testing.assert_array_equal(a.labels(), b.labels())
         for field in COUNTER_FIELDS:
             assert getattr(a.counters, field) == getattr(b.counters, field), field
 

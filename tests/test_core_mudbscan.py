@@ -216,3 +216,69 @@ class TestParams:
     def test_nan_eps_rejected(self):
         with pytest.raises(ValueError, match="eps"):
             DBSCANParams(eps=float("nan"), min_pts=3)
+
+
+class TestPinnedGateWorkload:
+    """``repro.fit`` on the perf-smoke default workload (20k 3-d blobs
+    + 20% noise, ε=0.08, MinPts=60) is pinned to recorded outputs.
+
+    The fingerprint and Table II counters were captured from the
+    union-find implementation the edge-array connectivity replaced;
+    any change to clustering or counted work shows up here.
+    """
+
+    PINS = {
+        0: (
+            "0ab6264dc9d0607213bf298420b307303d43a8e5156fd2b74cf4bc538a5aa166",
+            {"queries_run": 7708, "queries_saved": 12292, "dist_calcs": 43345239, "unions": 16993},
+        ),
+        1: (
+            "62482afff24bbba42f2ee6bea9052b08de4625e51d42377117c10076152f8c19",
+            {"queries_run": 7558, "queries_saved": 12442, "dist_calcs": 44355674, "unions": 17059},
+        ),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINS))
+    def test_fingerprint_and_counters(self, seed):
+        from repro import fit
+
+        pts = blobs_with_noise(20_000, 3, 8, noise_fraction=0.2, seed=seed)
+        res = fit(pts, eps=0.08, min_pts=60)
+        fingerprint, counters = self.PINS[seed]
+        assert res.fingerprint() == fingerprint
+        assert {k: getattr(res.counters, k) for k in counters} == counters
+
+
+class TestExecutionPathParity:
+    """Builder, query batching and aux index are execution strategies:
+    every combination gives the same labels, cores and Table II
+    counters.  ``dist_calcs`` depends on how the aux index prunes, so it
+    is compared within one aux index."""
+
+    COUNTERS = ("queries_run", "queries_saved", "unions", "micro_clusters")
+
+    @pytest.mark.parametrize("seed", [3, 101])
+    def test_all_paths_agree(self, seed):
+        pts = blobs_with_noise(1500, 2, 5, noise_fraction=0.25, seed=seed)
+        ref = mu_dbscan(pts, 0.06, 8)
+        assert check_exact(ref, brute_dbscan(pts, 0.06, 8), points=pts).ok
+        for aux_index in ("cached", "flat", "rtree"):
+            dist_calcs = set()
+            for builder in ("grid", "scan"):
+                for batch_queries in (True, False):
+                    res = mu_dbscan(
+                        pts,
+                        0.06,
+                        8,
+                        builder=builder,
+                        batch_queries=batch_queries,
+                        aux_index=aux_index,
+                    )
+                    case = str((builder, batch_queries, aux_index))
+                    np.testing.assert_array_equal(res.labels, ref.labels, err_msg=case)
+                    np.testing.assert_array_equal(res.core_mask, ref.core_mask, err_msg=case)
+                    for name in self.COUNTERS:
+                        got, want = getattr(res.counters, name), getattr(ref.counters, name)
+                        assert got == want, (case, name)
+                    dist_calcs.add(res.counters.dist_calcs)
+            assert len(dist_calcs) == 1, (aux_index, dist_calcs)

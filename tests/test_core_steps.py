@@ -55,7 +55,7 @@ class TestProcessMicroClusters:
         process_micro_clusters(state)
         assert not state.wndq.any()
         assert not state.assigned.any()
-        assert state.uf.n_sets == 2
+        assert state.n_components == 2
 
 
 class TestProcessRemaining:
@@ -114,8 +114,7 @@ class TestPostprocessCore:
         process_remaining_points(state)
         postprocess_core(state)
         # bridge: 0.04 <-> 0.101 at distance 0.061 < eps
-        roots = {state.uf.find(i) for i in range(16)}
-        assert len(roots) == 1
+        assert len(set(state.components().tolist())) == 1
 
     def test_counts_distance_work(self, small_blobs):
         state = _make_state(small_blobs, eps=0.08, min_pts=5)
@@ -156,6 +155,24 @@ class TestPostprocessNoise:
         state.noise_nbrs[0] = np.array([1])
         state.core[1] = True
         state.assigned[0] = True
-        before = state.uf.n_sets
+        before = state.n_components
         postprocess_noise(state)
-        assert state.uf.n_sets == before
+        assert state.n_components == before
+
+
+class TestEdgeBuffer:
+    def test_incremental_folds_match_one_pass(self, rng):
+        pts = rng.random((60, 2))
+        edges = rng.integers(0, 60, size=(70, 2))
+        one_pass = _make_state(pts, eps=0.05, min_pts=5)
+        one_pass.union(edges[:, 0], edges[:, 1])
+        folded = _make_state(pts, eps=0.05, min_pts=5)
+        for chunk in np.array_split(edges, 5):
+            folded.union(int(chunk[0, 0]), chunk[:1, 1])
+            folded.union(chunk[1:, 0], chunk[1:, 1])
+            folded.components()
+        np.testing.assert_array_equal(folded.labels(), one_pass.labels())
+        for state in (one_pass, folded):
+            assert state.counters.unions == 60 - state.n_components
+            assert state.assigned[edges.ravel()].all()
+            assert state.assigned.sum() == np.unique(edges).size

@@ -69,10 +69,10 @@ class TestFragmentInvariants:
     def test_border_claim_pairs_are_within_eps(self, scene):
         """Pairs whose halo endpoint is non-core act as border claims at
         the merge and must be genuine ε-relations.  Core-core pairs may
-        legitimately exceed ε: Algorithm 7's batched collapse emits
-        (anchor, halo-core) for *chained* connections — both endpoints
-        are cores of one density-connected component, so the union is
-        legal without a direct edge."""
+        legitimately exceed ε: Algorithm 7's component reduction emits
+        (a row of the component, halo-core) for *chained* connections —
+        both endpoints are cores of one density-connected component, so
+        the union is legal without a direct edge."""
         pts, eps, _, _, frag_l, frag_r, oracle = scene
         for frag in (frag_l, frag_r):
             for a, b in frag.cross_pairs:

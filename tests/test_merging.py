@@ -5,6 +5,7 @@ import pytest
 
 from repro.distributed.merging import resolve_fragments
 from repro.distributed.protocol import LocalFragment
+from repro.unionfind.unionfind import UnionFind
 
 
 def _frag(gids, core, assigned, intra=(), cross=()):
@@ -17,7 +18,71 @@ def _frag(gids, core, assigned, intra=(), cross=()):
     )
 
 
+def _replay_resolve(frags, n_global):
+    """Reference: the per-pair union-find replay of the cross pairs."""
+    core = np.zeros(n_global, dtype=bool)
+    assigned = np.zeros(n_global, dtype=bool)
+    for f in frags:
+        core[f.owned_gids] = f.core
+        assigned[f.owned_gids] = f.assigned
+    uf = UnionFind(n_global)
+    for f in frags:
+        for a, b in f.intra_edges:
+            uf.union(int(a), int(b))
+    for f in frags:
+        for a, b in f.cross_pairs:
+            a, b = int(a), int(b)
+            if core[a] and core[b]:
+                uf.union(a, b)
+            elif core[a] and not assigned[b]:
+                uf.union(a, b)
+                assigned[b] = True
+            elif core[b] and not assigned[a]:
+                uf.union(a, b)
+                assigned[a] = True
+    return uf.labels(noise_mask=~core & ~assigned), assigned, uf.n_sets
+
+
 class TestResolveFragments:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_pair_replay(self, seed):
+        """One ordered claim pass + one components call resolve exactly
+        like replaying every pair through a union-find: competing border
+        claims, duplicates and pre-assigned borders included."""
+        from repro.instrumentation.counters import Counters
+
+        rng = np.random.default_rng(seed)
+        n = 80
+        owner = rng.integers(0, 3, size=n)
+        core = rng.random(n) < 0.4
+        assigned = core | (rng.random(n) < 0.2)
+        frags = []
+        for r in range(3):
+            gids = np.flatnonzero(owner == r)
+            intra = rng.choice(gids, size=(gids.size // 3, 2)) if gids.size else ()
+            cross = rng.integers(0, n, size=(40, 2))
+            cross = cross[owner[cross[:, 0]] == r]
+            cross = np.vstack([cross, cross[: cross.shape[0] // 4]])  # duplicates
+            frags.append(_frag(gids, core[gids], assigned[gids], intra=intra, cross=cross))
+        counters = Counters()
+        out = resolve_fragments(frags, n, counters=counters)
+        labels, claimed, n_sets = _replay_resolve(frags, n)
+        np.testing.assert_array_equal(out.labels, labels)
+        np.testing.assert_array_equal(out.assigned_mask, claimed)
+        assert counters.unions == n - n_sets
+        assert out.n_cross_pairs == sum(f.cross_pairs.shape[0] for f in frags)
+
+    def test_two_rank_merge_with_noise(self):
+        frags = [
+            _frag([0, 1, 2], [True, True, False], [True, True, False],
+                  intra=[(0, 1)], cross=[(1, 3)]),
+            _frag([3, 4, 5], [True, False, False], [True, True, False],
+                  intra=[(3, 4)]),
+        ]
+        labels = resolve_fragments(frags, 6).labels
+        assert labels[0] == labels[1] == labels[3] == labels[4] == 0
+        assert labels[2] == -1 and labels[5] == -1
+
     def test_core_core_pair_merges(self):
         frags = [
             _frag([0, 1], [True, True], [True, True], intra=[(0, 1)], cross=[(1, 2)]),
@@ -78,6 +143,20 @@ class TestResolveFragments:
         frags = [_frag([0], [True], [True])]
         with pytest.raises(ValueError, match="unowned"):
             resolve_fragments(frags, 2)
+
+    def test_overlap_reported_before_gap(self):
+        # two all-noise ranks that both own id 1 and leave id 3 unowned
+        frags = [
+            _frag([0, 1], [False, False], [False, False]),
+            _frag([1, 2], [False, False], [False, False]),
+        ]
+        with pytest.raises(ValueError, match="owned twice"):
+            resolve_fragments(frags, 4)
+
+    def test_gap_count_reported(self):
+        frags = [_frag([0, 1, 2], [False] * 3, [False] * 3)]
+        with pytest.raises(ValueError, match=r"\b1 ids unowned"):
+            resolve_fragments(frags, 4)
 
     def test_deterministic_order(self):
         # same fragments, two runs -> identical labels

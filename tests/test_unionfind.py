@@ -1,9 +1,10 @@
-"""Unit tests for the union-find structure."""
+"""Unit tests for the union-find structure and edge-array connectivity."""
 
 import numpy as np
 import pytest
 
 from repro.instrumentation.counters import Counters
+from repro.unionfind.components import dense_labels, edge_components
 from repro.unionfind.unionfind import UnionFind
 
 
@@ -82,3 +83,30 @@ class TestUnionFind:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError, match="n must be"):
             UnionFind(-1)
+
+
+class TestEdgeComponents:
+    @pytest.mark.parametrize("n_edges", [0, 40, 150, 400])
+    def test_matches_union_find(self, rng, n_edges):
+        n = 200
+        edges = rng.integers(0, n, size=(n_edges, 2))
+        uf = UnionFind(n)
+        for a, b in edges:
+            uf.union(int(a), int(b))
+        n_comp, comp = edge_components(n, edges[:, 0], edges[:, 1])
+        assert n_comp == uf.n_sets
+        assert comp.dtype == np.int64
+        noise = rng.random(n) < 0.2
+        np.testing.assert_array_equal(
+            dense_labels(comp, noise_mask=noise), uf.labels(noise_mask=noise)
+        )
+
+    def test_dense_labels_first_appearance(self):
+        labels = dense_labels(np.array([7, 3, 7, 9, 3, 2]), noise_mask=np.array([0, 0, 0, 1, 0, 0]))
+        np.testing.assert_array_equal(labels, [0, 1, 0, -1, 1, 2])
+
+    def test_dense_labels_all_noise_and_empty(self):
+        np.testing.assert_array_equal(
+            dense_labels(np.array([1, 2]), noise_mask=np.array([True, True])), [-1, -1]
+        )
+        assert dense_labels(np.empty(0, dtype=np.int64)).shape == (0,)
