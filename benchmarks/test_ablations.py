@@ -5,7 +5,9 @@ paper's tables, but directly motivated by its §IV design arguments).
 2. Two-level μR-tree vs a flat R-tree for the same queries → distance
    work per query.
 3. Dynamic wndq-core marking (Alg. 6 step iii) on/off → query count.
-4. Reachable-MC filtration on/off → distance computations (flat mode).
+
+(Ablation 4, per-point reachable-MC filtration, left with the
+per-reachable-MC level-2 layouts it applied to; see DESIGN.md §5.)
 """
 
 from __future__ import annotations
@@ -51,23 +53,6 @@ def test_ablation_dynamic_wndq(benchmark, dataset_name: str) -> None:
 
 
 @pytest.mark.parametrize("dataset_name", DATASETS)
-def test_ablation_filtration(benchmark, dataset_name: str) -> None:
-    pts, spec = common.dataset(dataset_name)
-    on = mu_dbscan(pts, spec.eps, spec.min_pts, aux_index="flat", filtration=True)
-    off = benchmark.pedantic(
-        lambda: mu_dbscan(
-            pts, spec.eps, spec.min_pts, aux_index="flat", filtration=False
-        ),
-        rounds=1, iterations=1,
-    )
-    _rows[(dataset_name, "filtration")] = {
-        "on": on.counters.dist_calcs,
-        "off": off.counters.dist_calcs,
-    }
-    assert on.counters.dist_calcs <= off.counters.dist_calcs
-
-
-@pytest.mark.parametrize("dataset_name", DATASETS)
 def test_ablation_two_level_vs_flat_rtree(benchmark, dataset_name: str) -> None:
     """μR-tree vs a single flat R-tree doing the same n queries."""
     pts, spec = common.dataset(dataset_name)
@@ -87,7 +72,6 @@ def _render() -> str:
     metric = {
         "defer_2eps": "micro-clusters",
         "dynamic_wndq": "queries run",
-        "filtration": "distance calcs",
         "two_level": "queries run (vs flat R-tree)",
     }
     rows = []

@@ -35,8 +35,8 @@ def workload():
     return pts, spec.eps, _queries(pts)
 
 
-def _record(benchmark, name: str, n_queries: int = N_QUERIES) -> None:
-    _times[name] = (benchmark.stats["mean"], n_queries)
+def _record(benchmark, name: str) -> None:
+    _times[name] = (benchmark.stats["mean"], N_QUERIES)
 
 
 def test_micro_brute(benchmark, workload):
@@ -77,7 +77,7 @@ def test_micro_grid(benchmark, workload):
 
 def test_micro_murtree_cached(benchmark, workload):
     pts, eps, rows = workload
-    tree = MuRTree(pts, eps)  # cached mode
+    tree = MuRTree(pts, eps)
     tree.compute_reachability()
     benchmark.pedantic(
         lambda: [tree.query_ball(int(r)) for r in rows], rounds=1, iterations=1
@@ -85,42 +85,10 @@ def test_micro_murtree_cached(benchmark, workload):
     _record(benchmark, "murtree(cached)")
 
 
-def test_micro_murtree_flat(benchmark, workload):
-    pts, eps, rows = workload
-    tree = MuRTree(pts, eps, aux_index="flat")
-    tree.compute_reachability()
-    benchmark.pedantic(
-        lambda: [tree.query_ball(int(r)) for r in rows], rounds=1, iterations=1
-    )
-    _record(benchmark, "murtree(flat)")
-
-
-def test_micro_murtree_block(benchmark, workload):
-    """The MC-batched engine's access pattern: take the MCs of the
-    sampled rows and answer *every member* of each with one
-    ``query_ball_block`` distance matrix per MC — the grouping the
-    clustering phase performs (scattered single-row groups would only
-    measure the call overhead)."""
-    pts, eps, rows = workload
-    tree = MuRTree(pts, eps)  # cached mode
-    tree.compute_reachability()
-    mc_ids = sorted({int(tree.point_mc[r]) for r in rows})
-    groups = [tree.mcs[m].member_rows for m in mc_ids]
-    n_queries = int(sum(g.shape[0] for g in groups))
-
-    def run():
-        return [
-            tree.query_ball_block(m, g) for m, g in zip(mc_ids, groups)
-        ]
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    _record(benchmark, "murtree(block)", n_queries)
-
-
 # ---------------------------------------------------------------------------
-# AuxR-tree construction: STR bulk load vs one-by-one Guttman inserts.
-# Membership is final when the per-MC trees are built, so the static
-# packing should win — this case quantifies by how much.
+# Point R-tree construction: STR bulk load vs one-by-one Guttman
+# inserts over a fixed point set — the static packing should win, this
+# case quantifies by how much.
 
 AUX_BUILD_N = 20_000
 
@@ -129,29 +97,21 @@ _build_times: dict[str, float] = {}
 
 @pytest.fixture(scope="module")
 def aux_workload(workload):
-    pts, eps, _ = workload
+    pts, _, _ = workload
     rng = np.random.default_rng(1)
     keep = rng.choice(pts.shape[0], size=min(AUX_BUILD_N, pts.shape[0]), replace=False)
-    return pts[keep], eps
+    return pts[keep]
 
 
 def test_micro_aux_build_bulk(benchmark, aux_workload):
-    pts, eps = aux_workload
-    benchmark.pedantic(
-        lambda: MuRTree(pts, eps, aux_index="rtree", aux_bulk=True),
-        rounds=1,
-        iterations=1,
-    )
+    pts = aux_workload
+    benchmark.pedantic(lambda: PointRTree(pts, bulk=True), rounds=1, iterations=1)
     _build_times["bulk (STR)"] = benchmark.stats["mean"]
 
 
 def test_micro_aux_build_incremental(benchmark, aux_workload):
-    pts, eps = aux_workload
-    benchmark.pedantic(
-        lambda: MuRTree(pts, eps, aux_index="rtree", aux_bulk=False),
-        rounds=1,
-        iterations=1,
-    )
+    pts = aux_workload
+    benchmark.pedantic(lambda: PointRTree(pts, bulk=False), rounds=1, iterations=1)
     _build_times["incremental"] = benchmark.stats["mean"]
 
 
@@ -166,16 +126,13 @@ def _render_build() -> str:
         fast, slow = sorted(_build_times.values())
         rows.append(["speedup", f"{slow / fast:.2f}x"])
     return common.simple_table(
-        ["AuxR-tree build", "seconds"],
+        ["point R-tree build", "seconds"],
         rows,
-        title=(
-            f"per-MC AuxR-tree construction on a {AUX_BUILD_N}-point "
-            f"{DATASET} subsample (builder cost included in both)"
-        ),
+        title=f"point R-tree construction on a {AUX_BUILD_N}-point {DATASET} subsample",
     )
 
 
-common.register_report("AuxR-tree bulk loading", _render_build)
+common.register_report("R-tree bulk loading", _render_build)
 
 
 def _render() -> str:
@@ -192,8 +149,7 @@ def _render() -> str:
         rows,
         title=(
             f"index microbenchmark - exact eps-queries on {DATASET} "
-            f"(~{N_QUERIES} member-point queries; the block row amortises "
-            "whole-MC groups)"
+            f"(~{N_QUERIES} member-point queries)"
         ),
     )
 

@@ -48,9 +48,8 @@ def fit(
     """Cluster ``points`` with μDBSCAN (exact DBSCAN semantics).
 
     A direct alias of :func:`repro.core.mudbscan.mu_dbscan`; every
-    keyword it accepts (``metric``, ``batch_queries``, ``block_size``,
-    ``builder``, ``builder_block_size``, ``tracer``, the ablation
-    switches …) passes through unchanged.
+    keyword it accepts (``metric``, ``max_entries``, ``tracer``, the
+    ablation switches …) passes through unchanged.
     """
     return mu_dbscan(points, eps, min_pts, **opts)
 
@@ -86,9 +85,8 @@ def stream(
     exact after every update — identical (up to relabeling) to
     :func:`fit` on the live window.
 
-    Shares the batch vocabulary: ``metric``, ``builder`` /
-    ``builder_block_size``, ``max_entries`` pass through, plus the
-    streaming knobs ``window``, ``compact_every``,
+    Shares the batch vocabulary: ``metric`` and ``max_entries`` pass
+    through, plus the streaming knobs ``window``, ``compact_every``,
     ``compact_dirty_fraction`` (docs/STREAMING.md).
     """
     return StreamingMuDBSCAN(eps, min_pts, **opts)

@@ -38,8 +38,6 @@ import numpy as np
 from repro._version import __version__
 from repro.baselines import brute_dbscan, g_dbscan, grid_dbscan, rtree_dbscan
 from repro.core.mudbscan import mu_dbscan
-from repro.microcluster.builder import DEFAULT_BUILDER_BLOCK_SIZE
-from repro.microcluster.murtree import DEFAULT_BLOCK_SIZE
 from repro.core.result import ClusteringResult
 from repro.data.io import load_points
 from repro.data.registry import REGISTRY, load_dataset
@@ -52,6 +50,7 @@ from repro.distributed.baselines_d import (
 )
 from repro.distributed.mudbscan_d import mu_dbscan_d, parallel_time
 from repro.instrumentation.report import format_table
+from repro.serving.predict import DEFAULT_BLOCK_SIZE
 from repro.validation.exactness import check_exact
 
 SEQUENTIAL_ALGOS: dict[str, Callable] = {
@@ -113,16 +112,6 @@ def cmd_datasets(_args: argparse.Namespace) -> int:
         )
     )
     return 0
-
-
-def _mu_kwargs(args: argparse.Namespace) -> dict:
-    """Batched-engine knobs, honoured by the μDBSCAN algorithms only."""
-    return {
-        "batch_queries": not args.no_batch_queries,
-        "block_size": args.block_size,
-        "builder": args.builder,
-        "builder_block_size": args.builder_block_size,
-    }
 
 
 @contextlib.contextmanager
@@ -194,10 +183,9 @@ def _observability(args: argparse.Namespace, root_name: str = "fit"):
 def cmd_run(args: argparse.Namespace) -> int:
     pts, eps, min_pts, name = _resolve_workload(args)
     algo = SEQUENTIAL_ALGOS[args.algo]
-    kwargs = _mu_kwargs(args) if args.algo == "mu" else {}
     with _observability(args, root_name="fit"):
         start = time.perf_counter()
-        res = algo(pts, eps, min_pts, **kwargs)
+        res = algo(pts, eps, min_pts)
         wall = time.perf_counter() - start
     _print_result(name, res, wall)
     return 0
@@ -206,8 +194,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     pts, eps, min_pts, name = _resolve_workload(args)
     ref = brute_dbscan(pts, eps, min_pts)
-    kwargs = _mu_kwargs(args) if args.algo == "mu" else {}
-    res = SEQUENTIAL_ALGOS[args.algo](pts, eps, min_pts, **kwargs)
+    res = SEQUENTIAL_ALGOS[args.algo](pts, eps, min_pts)
     report = check_exact(res, ref, points=pts)
     print(f"{name}: {res.algorithm} vs brute oracle -> {report}")
     return 0 if report.ok else 1
@@ -216,7 +203,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_distributed(args: argparse.Namespace) -> int:
     pts, eps, min_pts, name = _resolve_workload(args)
     algo = DISTRIBUTED_ALGOS[args.algo]
-    kwargs = _mu_kwargs(args) if args.algo == "mu-d" else {}
+    kwargs = {}
     if args.algo == "mu-d":
         kwargs["backend"] = args.backend
     elif args.backend != "thread":
@@ -278,8 +265,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
             eps,
             min_pts,
             metric=args.metric,
-            batch_queries=not args.no_batch_queries,
-            block_size=args.block_size,
         )
         wall = time.perf_counter() - start
     path = model.save(args.save)
@@ -325,8 +310,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
         min_pts,
         window=args.window,
         metric=args.metric,
-        builder=args.builder,
-        builder_block_size=args.builder_block_size,
         compact_every=args.compact_every,
     )
     ckpt_dir = Path(args.checkpoint_dir) if args.checkpoint_dir else None
@@ -743,30 +726,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scale", type=float, default=None, help="size multiplier")
         p.add_argument("--eps", type=float, default=None)
         p.add_argument("--min-pts", type=int, default=None)
-        p.add_argument(
-            "--no-batch-queries",
-            action="store_true",
-            help="disable the MC-batched neighborhood engine (mu / mu-d only)",
-        )
-        p.add_argument(
-            "--block-size",
-            type=int,
-            default=DEFAULT_BLOCK_SIZE,
-            help="rows per batched distance block (memory/speed trade-off)",
-        )
-        p.add_argument(
-            "--builder",
-            choices=("grid", "scan"),
-            default="grid",
-            help="micro-cluster construction strategy (mu / mu-d only): "
-            "vectorized grid-hash sweep or reference per-point scan",
-        )
-        p.add_argument(
-            "--builder-block-size",
-            type=int,
-            default=DEFAULT_BUILDER_BLOCK_SIZE,
-            help="scan rows per grid-builder sweep block",
-        )
         p.add_argument(
             "--trace-out", metavar="PATH", default=None,
             help="write the run's span tree as JSON-lines (one span per line)",

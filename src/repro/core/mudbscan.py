@@ -3,8 +3,8 @@
 Orchestrates the four steps and reports per-phase timings under the
 names of the paper's Table III:
 
-1. ``tree_construction``          — Algorithm 3 + AuxR structures,
-2. ``finding_reachable_groups``   — Algorithm 5,
+1. ``tree_construction``          — Algorithm 3,
+2. ``finding_reachable_groups``   — Algorithm 5 + the level-2 blocks,
 3. ``clustering``                 — Algorithms 4 and 6,
 4. ``post_processing``            — Algorithms 7 and 8.
 
@@ -16,6 +16,7 @@ Table II.
 from __future__ import annotations
 
 import contextlib
+from typing import Any
 
 import numpy as np
 
@@ -30,28 +31,21 @@ from repro.geometry.metrics import EUCLIDEAN, Metric
 from repro.instrumentation.counters import Counters
 from repro.instrumentation.timers import PhaseTimer
 from repro.microcluster.microcluster import MCKind
-from repro.microcluster.builder import DEFAULT_BUILDER_BLOCK_SIZE
-from repro.microcluster.murtree import DEFAULT_BLOCK_SIZE, MuRTree
+from repro.microcluster.murtree import MuRTree
 from repro.observability.adapters import publish_run
 from repro.observability.profiler import PhaseProfiler, current_profiler, maybe_profile
 from repro.observability.registry import get_registry
 from repro.observability.tracing import Tracer, maybe_span
 
-__all__ = ["mu_dbscan", "run_mu_dbscan_state", "MuDBSCAN"]
+__all__ = ["mu_dbscan", "run_mu_dbscan_state", "fit_state", "MuDBSCAN"]
 
 
 def run_mu_dbscan_state(
     points: np.ndarray,
     params: DBSCANParams,
     *,
-    aux_index: str = "cached",
-    filtration: bool = True,
     defer_2eps: bool = True,
     dynamic_wndq: bool = True,
-    batch_queries: bool = True,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    builder: str = "grid",
-    builder_block_size: int = DEFAULT_BUILDER_BLOCK_SIZE,
     max_entries: int = 64,
     metric: str | Metric = EUCLIDEAN,
     counters: Counters | None = None,
@@ -59,7 +53,6 @@ def run_mu_dbscan_state(
     process_mask: np.ndarray | None = None,
     state_factory=MuDBSCANState,
     progress_cb=None,
-    _prebuilt_murtree: MuRTree | None = None,
 ) -> tuple[MuDBSCANState, PhaseTimer]:
     """Run μDBSCAN and return the raw state (flags + merge components).
 
@@ -69,11 +62,6 @@ def run_mu_dbscan_state(
     restricts Algorithm 6 to the masked (owned) rows, and
     ``state_factory`` lets μDBSCAN-D substitute its ownership-aware
     state subclass.
-
-    ``batch_queries`` / ``block_size`` select the MC-batched
-    neighborhood engine for Algorithm 6 (state-for-state and
-    counter-for-counter equivalent to the per-point path; see
-    ``repro.core.remaining``).
 
     ``progress_cb(consumed, eligible)`` is forwarded to Algorithm 6's
     consumption loop — distributed ranks hang their monitoring
@@ -88,34 +76,21 @@ def run_mu_dbscan_state(
     counters = counters if counters is not None else Counters()
     timers = timers if timers is not None else PhaseTimer()
 
-    if _prebuilt_murtree is not None:
-        # streaming mode: the index was maintained incrementally and the
-        # construction cost already paid at insert time
-        murtree = _prebuilt_murtree
-        with timers.phase("finding_reachable_groups"), maybe_span(
-            "finding_reachable_groups"
-        ) as span, maybe_profile("finding_reachable_groups", span=span):
-            murtree.compute_reachability()  # no-op when caches are warm
-    else:
-        with timers.phase("tree_construction"), maybe_span(
-            "tree_construction"
-        ) as span, maybe_profile("tree_construction", span=span):
-            murtree = MuRTree(
-                points,
-                params.eps,
-                aux_index=aux_index,
-                filtration=filtration,
-                defer_2eps=defer_2eps,
-                max_entries=max_entries,
-                counters=counters,
-                metric=metric,
-                builder=builder,
-                builder_block_size=builder_block_size,
-            )
-        with timers.phase("finding_reachable_groups"), maybe_span(
-            "finding_reachable_groups"
-        ) as span, maybe_profile("finding_reachable_groups", span=span):
-            murtree.compute_reachability()
+    with timers.phase("tree_construction"), maybe_span(
+        "tree_construction"
+    ) as span, maybe_profile("tree_construction", span=span):
+        murtree = MuRTree(
+            points,
+            params.eps,
+            defer_2eps=defer_2eps,
+            max_entries=max_entries,
+            counters=counters,
+            metric=metric,
+        )
+    with timers.phase("finding_reachable_groups"), maybe_span(
+        "finding_reachable_groups"
+    ) as span, maybe_profile("finding_reachable_groups", span=span):
+        murtree.compute_reachability()
 
     state = state_factory(murtree, params, counters)
     with timers.phase("clustering"), maybe_span("clustering") as span, maybe_profile(
@@ -126,8 +101,6 @@ def run_mu_dbscan_state(
             state,
             dynamic_wndq=dynamic_wndq,
             process_mask=process_mask,
-            batch_queries=batch_queries,
-            block_size=block_size,
             progress_cb=progress_cb,
         )
     with timers.phase("post_processing"), maybe_span(
@@ -142,19 +115,49 @@ def run_mu_dbscan_state(
     return state, timers
 
 
+def fit_state(
+    points: np.ndarray,
+    params: DBSCANParams,
+    **knobs: Any,
+) -> tuple[MuDBSCANState, PhaseTimer, dict]:
+    """One sequential fit as :func:`mu_dbscan` and ``fit_model`` run it.
+
+    Runs :func:`run_mu_dbscan_state` (``knobs`` pass through) under a
+    ``fit`` span, publishes the work counters and phase timings to the
+    active metrics registry, and returns the state, its timers and the
+    result extras (MC count and size, wndq-core count, DMC/CMC/SMC
+    split, metric).
+    """
+    with maybe_span(
+        "fit",
+        n=int(points.shape[0]),
+        eps=params.eps,
+        min_pts=params.min_pts,
+        engine="exact",
+    ):
+        state, timers = run_mu_dbscan_state(points, params, **knobs)
+    publish_run(get_registry(), state.counters, timers, algorithm="mu_dbscan")
+    murtree = state.murtree
+    kind_counts = {kind.name: 0 for kind in MCKind}
+    for mc in murtree.mcs:
+        kind_counts[mc.kind(params.min_pts).name] += 1
+    extras = {
+        ExtraKeys.N_MICRO_CLUSTERS: murtree.n_micro_clusters,
+        ExtraKeys.AVG_MC_SIZE: murtree.avg_mc_size,
+        ExtraKeys.N_WNDQ_CORE: len(state.wndq_corelist),
+        ExtraKeys.MC_KIND_COUNTS: kind_counts,
+        ExtraKeys.METRIC: murtree.metric.name,
+    }
+    return state, timers, extras
+
+
 def mu_dbscan(
     points: np.ndarray,
     eps: float,
     min_pts: int,
     *,
-    aux_index: str = "cached",
-    filtration: bool = True,
     defer_2eps: bool = True,
     dynamic_wndq: bool = True,
-    batch_queries: bool = True,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    builder: str = "grid",
-    builder_block_size: int = DEFAULT_BUILDER_BLOCK_SIZE,
     max_entries: int = 64,
     metric: str | Metric = EUCLIDEAN,
     timers: PhaseTimer | None = None,
@@ -170,22 +173,12 @@ def mu_dbscan(
     eps, min_pts:
         DBSCAN density parameters (strict-< ε, self counted — see
         DESIGN.md §6).
-    aux_index, filtration, defer_2eps, dynamic_wndq, max_entries:
+    defer_2eps, dynamic_wndq, max_entries:
         Design knobs; the defaults reproduce the paper's algorithm, the
         alternatives are the DESIGN.md §5 ablations.
-    builder, builder_block_size:
-        Micro-cluster construction strategy — ``"grid"`` (default): the
-        vectorized grid-hash block sweep plus batched reachability and a
-        single STR bulk load of the first-level tree; ``"scan"``: the
-        reference per-point loop with dynamic inserts.  Results and work
-        counters are bit-identical (see docs/ALGORITHM.md, "Grid-hash
-        builder"); only ``tree_construction`` wall time changes.
-    batch_queries, block_size:
-        MC-batched neighborhood engine for the clustering phase — one
-        vectorized distance block per micro-cluster instead of one
-        Python query per point (semantics and counters unchanged;
-        ``cached`` aux index only, other modes fall back per point).
-        ``block_size`` caps the rows per transient distance matrix.
+    metric:
+        ``"euclidean"`` (default), ``"manhattan"`` or ``"chebyshev"``,
+        or a :class:`~repro.geometry.metrics.Metric` instance.
     timers:
         Optional externally-constructed :class:`PhaseTimer` — pass one
         built on ``time.thread_time`` to make a sequential run directly
@@ -193,12 +186,11 @@ def mu_dbscan(
     tracer:
         Optional :class:`~repro.observability.tracing.Tracer`; when
         given (or when one is already active on this thread) the run
-        produces a ``fit`` span with the four phases (and per-MC batch
-        spans) nested under it.  Work counters and phase timings are
-        also published to the active
-        :class:`~repro.observability.registry.MetricsRegistry` (the
-        default registry is disabled, so this costs nothing unless one
-        is installed).
+        produces a ``fit`` span with the four phases nested under it.
+        Work counters and phase timings are also published to the
+        active :class:`~repro.observability.registry.MetricsRegistry`
+        (the default registry is disabled, so this costs nothing unless
+        one is installed).
     profiler:
         Optional :class:`~repro.observability.profiler.PhaseProfiler`;
         when given (or when one is already active on this thread) each
@@ -214,52 +206,30 @@ def mu_dbscan(
     per-phase timings.
     """
     params = DBSCANParams(eps=eps, min_pts=min_pts)
-    counters = Counters()
     pts = np.asarray(points)
     activation = tracer.activate() if tracer is not None else contextlib.nullcontext()
     profiler = profiler if profiler is not None else current_profiler()
     profiling = (
         profiler.activate() if profiler is not None else contextlib.nullcontext()
     )
-    with activation, profiling, maybe_span(
-        "fit", n=int(pts.shape[0]), eps=eps, min_pts=min_pts, engine="exact"
-    ):
-        state, timers = run_mu_dbscan_state(
+    with activation, profiling:
+        state, timers, extras = fit_state(
             pts,
             params,
-            aux_index=aux_index,
-            filtration=filtration,
             defer_2eps=defer_2eps,
             dynamic_wndq=dynamic_wndq,
-            batch_queries=batch_queries,
-            block_size=block_size,
-            builder=builder,
-            builder_block_size=builder_block_size,
             max_entries=max_entries,
             metric=metric,
-            counters=counters,
             timers=timers,
         )
-    publish_run(get_registry(), counters, timers, algorithm="mu_dbscan")
-    labels = state.labels()
-    kind_counts = {kind.name: 0 for kind in MCKind}
-    for mc in state.murtree.mcs:
-        kind_counts[mc.kind(params.min_pts).name] += 1
-    extras = {
-        ExtraKeys.N_MICRO_CLUSTERS: state.murtree.n_micro_clusters,
-        ExtraKeys.AVG_MC_SIZE: state.murtree.avg_mc_size,
-        ExtraKeys.N_WNDQ_CORE: len(state.wndq_corelist),
-        ExtraKeys.MC_KIND_COUNTS: kind_counts,
-        ExtraKeys.METRIC: state.murtree.metric.name,
-    }
     if profiler is not None:
         extras[ExtraKeys.MEMORY_PROFILE] = profiler.as_dict()
     return ClusteringResult(
-        labels=labels,
+        labels=state.labels(),
         core_mask=state.core.copy(),
         params=params,
         algorithm="mu_dbscan",
-        counters=counters,
+        counters=state.counters,
         timers=timers,
         extras=extras,
     )
@@ -280,14 +250,8 @@ class MuDBSCAN:
     _PARAM_NAMES = (
         "eps",
         "min_pts",
-        "aux_index",
-        "filtration",
         "defer_2eps",
         "dynamic_wndq",
-        "batch_queries",
-        "block_size",
-        "builder",
-        "builder_block_size",
         "max_entries",
         "metric",
     )
@@ -297,27 +261,15 @@ class MuDBSCAN:
         eps: float,
         min_pts: int,
         *,
-        aux_index: str = "cached",
-        filtration: bool = True,
         defer_2eps: bool = True,
         dynamic_wndq: bool = True,
-        batch_queries: bool = True,
-        block_size: int = DEFAULT_BLOCK_SIZE,
-        builder: str = "grid",
-        builder_block_size: int = DEFAULT_BUILDER_BLOCK_SIZE,
         max_entries: int = 64,
         metric: str | Metric = EUCLIDEAN,
     ) -> None:
         # validate eagerly so misuse fails at construction
         self.params = DBSCANParams(eps=eps, min_pts=min_pts)
-        self.aux_index = aux_index
-        self.filtration = filtration
         self.defer_2eps = defer_2eps
         self.dynamic_wndq = dynamic_wndq
-        self.batch_queries = batch_queries
-        self.block_size = block_size
-        self.builder = builder
-        self.builder_block_size = builder_block_size
         self.max_entries = max_entries
         self.metric = metric
         self.result_: ClusteringResult | None = None
@@ -355,14 +307,8 @@ class MuDBSCAN:
             points,
             self.params.eps,
             self.params.min_pts,
-            aux_index=self.aux_index,
-            filtration=self.filtration,
             defer_2eps=self.defer_2eps,
             dynamic_wndq=self.dynamic_wndq,
-            batch_queries=self.batch_queries,
-            block_size=self.block_size,
-            builder=self.builder,
-            builder_block_size=self.builder_block_size,
             max_entries=self.max_entries,
             metric=self.metric,
         )

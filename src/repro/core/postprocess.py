@@ -6,7 +6,7 @@ clusters in three moves: edges → components → more edges → components.
 
 **POST-PROCESSING-CORE** (Alg. 7): a wndq-core point never ran its
 query, so merges with *other* core points discovered later may be
-missing.  For each wndq-core ``p`` we take the points of its filtered
+missing.  For each wndq-core ``p`` we take the points of its MC's
 reachable MCs, keep the core ones, and merge every one strictly within
 ε of ``p``.  By Lemma 3 this candidate set contains every possible core
 neighbor, and by Lemma 4 all cores are known by now, so after this pass
@@ -16,7 +16,7 @@ paper stresses).
 
 The paper skips a distance computation when two cores already share a
 cluster; per-pair ``find`` calls are the wrong trade-off in Python.
-The cached-μR-tree path instead works on components:
+This pass instead works on components:
 
 1. one connected-components pass over the Algorithm 4/6 edges gives
    every point its component id ``comp``;
@@ -76,8 +76,9 @@ def _link_component_pairs(
         state.union(int(rows[first_row[g]]), cands[reach][new][first])
 
 
-def _postprocess_core_batched(state: MuDBSCANState) -> None:
-    """Cached-mode Algorithm 7: per-MC blocks reduced to component edges.
+def postprocess_core(state: MuDBSCANState) -> None:
+    """Run Algorithm 7 over the wndq-core list: per-MC blocks reduced to
+    component edges.
 
     Two candidate classes per MC block:
 
@@ -90,19 +91,20 @@ def _postprocess_core_batched(state: MuDBSCANState) -> None:
       (the distributed state turns the edge into a cross pair, judged
       at the global merge under the real flags).
     """
+    if not state.wndq_corelist:
+        return
+    murtree = state.murtree
     eps_raw = state.eps_raw
-    metric = state.murtree.metric
-    points = state.murtree.points
+    metric = murtree.metric
+    points = murtree.points
     counters = state.counters
     comp = state.components()
     by_mc: dict[int, list[int]] = defaultdict(list)
     for row in state.wndq_corelist:
-        by_mc[int(state.murtree.point_mc[row])].append(row)
+        by_mc[int(murtree.point_mc[row])].append(row)
 
     for mc_id, rows_list in by_mc.items():
-        mc = state.murtree.mcs[mc_id]
-        assert mc.reach_rows is not None
-        candidates = mc.reach_rows
+        candidates = murtree.reachable_block(mc_id)
         rows = np.asarray(rows_list, dtype=np.int64)
 
         core_cand = candidates[state.core[candidates]]
@@ -118,28 +120,6 @@ def _postprocess_core_batched(state: MuDBSCANState) -> None:
             cols = np.flatnonzero(hit.any(axis=0))
             first_row = np.argmax(hit[:, cols], axis=0)  # first adjacent block row
             state.union(rows[first_row], unknown_cand[cols])
-
-
-def postprocess_core(state: MuDBSCANState) -> None:
-    """Run Algorithm 7 over the wndq-core list."""
-    if not state.wndq_corelist:
-        return
-    if state.murtree.aux_index == "cached":
-        _postprocess_core_batched(state)
-        return
-    eps_raw = state.eps_raw
-    metric = state.murtree.metric
-    points = state.murtree.points
-    counters = state.counters
-    for row in state.wndq_corelist:
-        candidates = state.murtree.candidates_for_postprocessing(row)
-        core_candidates = candidates[state.postprocess_candidate_mask(candidates)]
-        if core_candidates.size == 0:
-            continue
-        counters.dist_calcs += int(core_candidates.size)
-        raw = metric.raw_to_point(points[core_candidates], points[row])
-        near = core_candidates[raw < eps_raw]
-        state.union(row, near[near != row])
 
 
 def postprocess_noise(state: MuDBSCANState) -> None:

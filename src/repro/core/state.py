@@ -127,18 +127,8 @@ class MuDBSCANState:
         """Dense cluster labels, ``-1`` for noise."""
         return dense_labels(self.components(), noise_mask=self.final_noise_mask())
 
-    def postprocess_candidate_mask(self, candidates: np.ndarray) -> np.ndarray:
-        """Which Algorithm-7 candidates a wndq-core may merge with
-        (non-batched path).
-
-        Sequentially that is exactly the known cores.  The distributed
-        state widens it to halo points whose core status is only known
-        to their owner (the global merge applies the real flags).
-        """
-        return self.core[candidates]
-
     def postprocess_unknown_mask(self, candidates: np.ndarray) -> np.ndarray:
-        """Algorithm-7 candidates of *unknown* core status (batched path).
+        """Algorithm-7 candidates of *unknown* core status.
 
         Empty sequentially — every local point's status is known.  The
         distributed state returns its non-locally-core halo candidates,

@@ -11,12 +11,13 @@ implemented by :class:`DistributedMuDBSCANState`:
   true core/assignment status lives at its owner), kept in emission
   order; a halo↔halo edge is dropped (both owners will handle it).
   Halo rows therefore stay local singletons.
-* Algorithm 7's candidate mask is widened to include halo candidates
-  whatever their local core flag: a halo point that looks non-core here
-  may be core globally, and the missing core-core edge would otherwise
-  be lost by *both* ranks (each seeing the other's endpoint as
-  non-core).  The merge applies the pair under global flags, so the
-  widening never creates an illegal union.
+* Algorithm 7 also tests halo candidates that are not locally core
+  (``postprocess_unknown_mask``) and emits their ε-relations as cross
+  pairs: a halo point that looks non-core here may be core globally,
+  and the missing core-core edge would otherwise be lost by *both*
+  ranks (each seeing the other's endpoint as non-core).  The merge
+  applies the pair under global flags, so the widening never creates
+  an illegal union.
 
 After the run, every still-unassigned provisionally-noise owned point
 emits pairs to its halo neighbors: one of them may be core globally,
@@ -34,8 +35,7 @@ from repro.core.state import MuDBSCANState
 from repro.distributed.protocol import LocalFragment
 from repro.instrumentation.counters import Counters
 from repro.instrumentation.timers import PhaseTimer
-from repro.microcluster.builder import DEFAULT_BUILDER_BLOCK_SIZE
-from repro.microcluster.murtree import DEFAULT_BLOCK_SIZE, MuRTree
+from repro.microcluster.murtree import MuRTree
 
 __all__ = ["DistributedMuDBSCANState", "run_local_mu_dbscan"]
 
@@ -94,10 +94,6 @@ class DistributedMuDBSCANState(MuDBSCANState):
         _, first = np.unique(pairs, axis=0, return_index=True)
         return pairs[np.sort(first)]
 
-    def postprocess_candidate_mask(self, candidates: np.ndarray) -> np.ndarray:
-        # locally-known cores plus every halo point (globally judged)
-        return self.core[candidates] | ~self.owned[candidates]
-
     def postprocess_unknown_mask(self, candidates: np.ndarray) -> np.ndarray:
         # halo points not locally proven core: their ε-relations become
         # cross pairs, never local merges
@@ -140,23 +136,15 @@ def run_local_mu_dbscan(
     halo_gids: np.ndarray,
     params: DBSCANParams,
     *,
-    aux_index: str = "cached",
-    batch_queries: bool = True,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    builder: str = "grid",
-    builder_block_size: int = DEFAULT_BUILDER_BLOCK_SIZE,
     timers: PhaseTimer | None = None,
     **mu_kwargs,
 ) -> LocalFragment:
     """Run μDBSCAN locally and package the rank's fragment.
 
-    ``batch_queries`` / ``block_size`` select the MC-batched
-    neighborhood engine for the rank's owned rows (``process_mask``
-    composes with batching: the per-MC blocks only cover owned members,
-    halo points stay query-free).  ``builder`` / ``builder_block_size``
-    pick the micro-cluster construction strategy per rank — the default
-    grid-hash sweep attacks each rank's ``tree_construction`` phase, the
-    dominant local cost (Table III), with bit-identical results.
+    Only the rank's owned rows are queried (``process_mask``); halo
+    points stay query-free.  ``mu_kwargs`` (the ablation switches,
+    ``max_entries``, ``metric``, ``progress_cb``) pass through to
+    :func:`~repro.core.mudbscan.run_mu_dbscan_state`.
     """
     n_owned = owned_points.shape[0]
     if halo_points.shape[0]:
@@ -178,11 +166,6 @@ def run_local_mu_dbscan(
     state, timers = run_mu_dbscan_state(
         all_points,
         params,
-        aux_index=aux_index,
-        batch_queries=batch_queries,
-        block_size=block_size,
-        builder=builder,
-        builder_block_size=builder_block_size,
         counters=counters,
         timers=timers,
         process_mask=owned_mask,

@@ -22,21 +22,16 @@ The first-level R-tree stores each MC as the fixed box ``center ± eps``:
 every member is strictly within ``eps`` of the center, so the box bounds
 the MC forever and never needs widening on insertion.
 
-Two builders implement the same semantics:
-
-* ``builder="scan"`` — the reference per-point loop: one R-tree probe
-  and one small distance block per point, dynamic ``tree.insert`` per
-  created MC.
-* ``builder="grid"`` (default) — the batched sweep documented in
-  docs/ALGORITHM.md ("Grid-hash builder"): centers are hashed into an
-  ε-cell :class:`~repro.index.grid.CenterGrid`; scan points are
-  processed in row-order blocks; per block one gather + one vectorized
-  distance/box-predicate pass computes every point's verdict against
-  the centers existing *before* the block, and a short exact fixup walk
-  replays intra-block MC creations in scan order.  The first-level tree
-  is STR bulk-loaded once at the end.  Labels, ``point_mc``, MC
-  membership order and every counter are **bit-identical** to the scan
-  builder — the parity suite in ``tests/test_builder.py`` pins it.
+The sweep is batched (docs/ALGORITHM.md, "Grid-hash builder"): centers
+are hashed into an ε-cell :class:`~repro.index.grid.CenterGrid`; scan
+points are processed in row-order blocks; per block one gather + one
+vectorized distance/box-predicate pass computes every point's verdict
+against the centers existing *before* the block, and a short exact
+fixup walk replays intra-block MC creations in scan order.  The
+first-level tree is STR bulk-loaded once at the end.  Labels,
+``point_mc``, MC membership order and every counter are those of the
+per-point scan described above — ``tests/test_builder.py`` checks them
+against a per-point reference kept there.
 """
 
 from __future__ import annotations
@@ -61,10 +56,10 @@ DEFAULT_BUILDER_BLOCK_SIZE = 4096
 class _CenterArray:
     """Growing preallocated ``(m, d)`` array of MC centers.
 
-    Algorithm 3 needs the centers of every candidate MC at every point;
-    restacking them per point from the ``MicroCluster`` objects costs a
+    Algorithm 3 needs the centers of every candidate MC at every block;
+    restacking them from the ``MicroCluster`` objects costs a
     Python-level loop each time, while one amortised-doubling buffer
-    answers with a single fancy index."""
+    answers with a zero-copy prefix view."""
 
     def __init__(self, dim: int) -> None:
         self._buf = np.empty((64, dim), dtype=np.float64)
@@ -77,9 +72,6 @@ class _CenterArray:
             self._buf = grown
         self._buf[self._m] = center
         self._m += 1
-
-    def take(self, ids: np.ndarray) -> np.ndarray:
-        return self._buf[ids]
 
     def view(self, m: int) -> np.ndarray:
         """Zero-copy ``(m, d)`` view of the first ``m`` centers — bulk
@@ -95,7 +87,6 @@ def build_micro_clusters(
     counters: Counters | None = None,
     defer_2eps: bool = True,
     metric: Metric = EUCLIDEAN,
-    builder: str = "grid",
     block_size: int = DEFAULT_BUILDER_BLOCK_SIZE,
 ) -> tuple[list[MicroCluster], RTree, np.ndarray]:
     """Run Algorithm 3 over ``points``.
@@ -112,11 +103,9 @@ def build_micro_clusters(
         The 2ε ``unassignedList`` rule.  ``False`` disables deferral
         (ablation 1 in DESIGN.md §5): every unassignable point
         immediately founds a new MC.
-    builder:
-        ``"grid"`` (default) — the vectorized block sweep; ``"scan"`` —
-        the reference per-point loop.  Identical results either way.
     block_size:
-        Grid builder only: rows per vectorized sweep block.
+        Rows per vectorized sweep block; bounds the transient
+        (block x candidate-centers) matrices, never changes the result.
 
     Returns
     -------
@@ -130,133 +119,9 @@ def build_micro_clusters(
         raise ValueError(f"points must be (n, d), got shape {pts.shape}")
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if builder not in ("scan", "grid"):
-        raise ValueError(f"builder must be 'scan' or 'grid', got {builder!r}")
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
     counters = counters if counters is not None else Counters()
-    if builder == "scan":
-        return _build_scan(
-            pts,
-            eps,
-            max_entries=max_entries,
-            counters=counters,
-            defer_2eps=defer_2eps,
-            metric=metric,
-        )
-    return _build_grid(
-        pts,
-        eps,
-        max_entries=max_entries,
-        counters=counters,
-        defer_2eps=defer_2eps,
-        metric=metric,
-        block_size=block_size,
-    )
-
-
-# ---------------------------------------------------------------------------
-# reference per-point builder
-
-
-def _build_scan(
-    pts: np.ndarray,
-    eps: float,
-    *,
-    max_entries: int,
-    counters: Counters,
-    defer_2eps: bool,
-    metric: Metric,
-) -> tuple[list[MicroCluster], RTree, np.ndarray]:
-    n, dim = pts.shape
-    # candidate searches go through the (Euclidean) R-tree; a metric
-    # ball fits in a Euclidean ball scaled by this factor
-    cover = metric.l2_cover_factor(dim)
-
-    tree = RTree(dim, max_entries=max_entries, counters=counters)
-    mcs: list[MicroCluster] = []
-    centers = _CenterArray(dim)
-    point_mc = np.full(n, -1, dtype=np.int64)
-    unassigned: list[int] = []
-    eps_raw = metric.threshold(eps)
-    two_eps_raw = metric.threshold(2.0 * eps)
-    # one candidate sweep at the wider radius serves both the ε-join
-    # test and the 2ε-deferral test, and one distance pass over the
-    # candidates' centers answers both
-    search_radius = (2.0 * eps if defer_2eps else eps) * cover
-
-    def create_mc(row: int) -> int:
-        mc_id = len(mcs)
-        mc = MicroCluster(mc_id, row, pts[row])
-        mcs.append(mc)
-        centers.append(pts[row])
-        tree.insert(mc_id, pts[row] - eps, pts[row] + eps)
-        point_mc[row] = mc_id
-        counters.micro_clusters += 1
-        return mc_id
-
-    # ---- pass 1: scan, join / defer / create --------------------------
-    for row in range(n):
-        p = pts[row]
-        if not mcs:
-            create_mc(row)
-            continue
-        candidates = tree.query_ball_candidates(p, search_radius)
-        if candidates:
-            # ascending ids make argmin's tie-break (nearest center,
-            # lowest mc_id on exact raw ties) independent of tree layout
-            # — the grid builder resolves ties the same way
-            candidates.sort()
-            cand = np.asarray(candidates, dtype=np.int64)
-            counters.dist_calcs += cand.size
-            raw = metric.raw_to_point(centers.take(cand), p)
-            best = int(np.argmin(raw))
-            if raw[best] < eps_raw:
-                joined = candidates[best]  # nearest center within ε
-                mcs[joined].add_member(row)
-                point_mc[row] = joined
-                continue
-            if defer_2eps and raw[best] < two_eps_raw:
-                unassigned.append(row)
-                counters.deferred_points += 1
-                continue
-        create_mc(row)
-
-    # ---- pass 2: place deferred points --------------------------------
-    for row in unassigned:
-        p = pts[row]
-        candidates = tree.query_ball_candidates(p, eps * cover)
-        if candidates:
-            candidates.sort()
-            cand = np.asarray(candidates, dtype=np.int64)
-            counters.dist_calcs += cand.size
-            raw = metric.raw_to_point(centers.take(cand), p)
-            best = int(np.argmin(raw))
-            if raw[best] < eps_raw:
-                mcs[candidates[best]].add_member(row)
-                point_mc[row] = candidates[best]
-                continue
-        create_mc(row)
-
-    for mc in mcs:
-        mc.freeze(pts, eps, metric=metric)
-    return mcs, tree, point_mc
-
-
-# ---------------------------------------------------------------------------
-# vectorized grid-hash builder
-
-
-def _build_grid(
-    pts: np.ndarray,
-    eps: float,
-    *,
-    max_entries: int,
-    counters: Counters,
-    defer_2eps: bool,
-    metric: Metric,
-    block_size: int,
-) -> tuple[list[MicroCluster], RTree, np.ndarray]:
     n, dim = pts.shape
     cover = metric.l2_cover_factor(dim)
     eps_raw = metric.threshold(eps)
@@ -281,12 +146,12 @@ def _build_grid(
         this block: candidate count, best (lowest) raw distance and the
         id achieving it (lowest id on exact ties).
 
-        Candidate sets replicate the R-tree probe exactly: the grid
-        gather is a conservative superset (every center whose ε-box a
-        ball of ``radius`` could touch lies within ``reach`` cells, plus
-        one safety ring for floor-rounding slack), and the same
-        leaf-level ball-vs-box predicate then keeps exactly the tree's
-        candidates.
+        Candidate sets are the centers whose ε-box the ball of
+        ``radius`` touches (the first-level tree's leaf-level
+        ball-vs-box predicate): the grid gather is a conservative
+        superset (every such center lies within ``reach`` cells, plus
+        one safety ring for floor-rounding slack), and the predicate
+        then keeps exactly the candidates.
         """
         B = block.shape[0]
         cnt = np.zeros(B, dtype=np.int64)
@@ -327,7 +192,7 @@ def _build_grid(
             # exact scan-order fixup: walk the block in row order; each
             # created MC is immediately made visible (count, distance,
             # nearest-center) to every later row of the block, exactly
-            # as a dynamic tree insert would have been
+            # as in a per-point scan
             for i in range(block.shape[0]):
                 row = int(block[i])
                 c = int(cnt[i])
@@ -355,8 +220,8 @@ def _build_grid(
                         hit = sq <= radius * radius
                         if hit.any():
                             cnt[i + 1 :][hit] += 1
-                            # ...and the scan's raw distances; strict <
-                            # keeps the lower (earlier) id on exact ties
+                            # ...and the raw distances; strict < keeps
+                            # the lower (earlier) id on exact ties
                             raw_new = metric.raw_to_point(rest, pts[row])
                             sub_raw = best_raw[i + 1 :]
                             sub_id = best_id[i + 1 :]

@@ -40,8 +40,8 @@ class MicroCluster:
     Built incrementally (members appended as Algorithm 3 assigns
     points), then *frozen* once construction finishes — freezing
     materialises the member-index array, a contiguous copy of the member
-    coordinates (for vectorized ε-queries), the tight member MBR used in
-    per-point reachability filtration, and the inner-circle rows.
+    coordinates (for vectorized ε-queries), the tight member MBR and the
+    inner-circle rows.
 
     Attributes
     ----------
@@ -66,7 +66,6 @@ class MicroCluster:
         "reach_ids",
         "reach_rows",
         "reach_points",
-        "aux_tree",
     )
 
     def __init__(self, mc_id: int, center_row: int, center: np.ndarray) -> None:
@@ -81,10 +80,9 @@ class MicroCluster:
         self.ic_rows: np.ndarray | None = None
         self.reach_ids: np.ndarray | None = None
         #: cached concatenation of the reachable MCs' member rows/points
-        #: (aux_index="cached" — one vectorized scan per ε-query)
+        #: (the μR-tree's level 2 — one vectorized scan per ε-query)
         self.reach_rows: np.ndarray | None = None
         self.reach_points: np.ndarray | None = None
-        self.aux_tree = None  # PointRTree when aux_index="rtree"
 
     # ------------------------------------------------------------------
     # construction phase

@@ -15,65 +15,30 @@ import numpy as np
 
 from repro.geometry.metrics import EUCLIDEAN, Metric
 from repro.geometry.regions import sphere_intersects_rects_block
-from repro.index.rtree import RTree
 from repro.instrumentation.counters import Counters
 from repro.microcluster.microcluster import MicroCluster
 
-__all__ = ["compute_reachable", "compute_reachable_batched"]
+__all__ = ["compute_reachable"]
+
+#: center rows per ``m × m`` sweep block — bounds the transient
+#: (block x m) matrices
+_BLOCK_ROWS = 4096
 
 
 def compute_reachable(
     mcs: list[MicroCluster],
-    tree: RTree,
     eps: float,
     counters: Counters | None = None,
     metric: Metric = EUCLIDEAN,
 ) -> None:
     """Populate ``mc.reach_ids`` for every MC (ids sorted ascending).
 
-    Uses the first-level tree to shortlist candidate MCs whose
-    ``center ± eps`` box touches the ball ``B(center, 3 eps)``, then the
-    exact ``<= 3 eps`` center-distance test.
-    """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    counters = counters if counters is not None else Counters()
-    limit_raw = metric.threshold(3.0 * eps)
-    for mc in mcs:
-        cover = metric.l2_cover_factor(mc.center.shape[0])
-        candidate_ids = tree.query_ball_candidates(mc.center, 3.0 * eps * cover)
-        if not candidate_ids:
-            # the MC itself is always reachable; an empty candidate list
-            # can only happen on a pathological empty tree
-            mc.reach_ids = np.asarray([mc.mc_id], dtype=np.int64)
-            continue
-        cand = np.asarray(candidate_ids, dtype=np.int64)
-        centers = np.stack([mcs[int(c)].center for c in cand])
-        counters.dist_calcs += int(cand.shape[0])
-        raw = metric.raw_to_point(centers, mc.center)
-        reach = cand[raw <= limit_raw]
-        reach.sort()
-        mc.reach_ids = reach
-
-
-def compute_reachable_batched(
-    mcs: list[MicroCluster],
-    eps: float,
-    counters: Counters | None = None,
-    metric: Metric = EUCLIDEAN,
-    block_size: int = 4096,
-) -> None:
-    """Populate ``mc.reach_ids`` for every MC without touching the tree.
-
-    The per-MC path probes the first-level R-tree once per MC and then
-    tests the shortlisted centers; with ``m`` centers already available
-    as one matrix, an ``m × m`` sweep (chunked to ``block_size`` rows)
-    does both steps vectorized.  The tree probe's candidate set is
-    exactly the set of ``center ± eps`` boxes the ``3ε`` ball touches
-    (internal-node pruning never rejects a hit leaf), so replaying that
-    ball-vs-box predicate per pair reproduces the same candidate counts
-    — ``dist_calcs`` and the sorted ``reach_ids`` come out identical to
-    :func:`compute_reachable`.
+    With the ``m`` centers as one matrix, an ``m × m`` sweep (chunked
+    to bound memory) shortlists, per MC, the candidate MCs whose
+    ``center ± eps`` box touches the ball ``B(center, 3 eps)`` — the
+    first-level tree's leaf-level ball-vs-box predicate, charged to
+    ``dist_calcs`` per candidate — and keeps those passing the exact
+    ``<= 3 eps`` center-distance test.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -87,8 +52,8 @@ def compute_reachable_batched(
     limit_raw = metric.threshold(3.0 * eps)
     lows = centers - eps
     highs = centers + eps
-    for start in range(0, m, block_size):
-        sub = centers[start : start + block_size]
+    for start in range(0, m, _BLOCK_ROWS):
+        sub = centers[start : start + _BLOCK_ROWS]
         hit = sphere_intersects_rects_block(sub, radius, lows, highs)
         counters.dist_calcs += int(hit.sum())
         raw = metric.raw_pairwise_stable(sub, centers)

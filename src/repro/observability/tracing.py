@@ -6,8 +6,6 @@ A :class:`Tracer` produces a tree of :class:`Span` records::
     ├─ tree_construction
     ├─ finding_reachable_groups
     ├─ clustering
-    │  ├─ mc_batch (mc=0, rows=8)
-    │  └─ ...
     └─ post_processing
 
     mu_dbscan_d

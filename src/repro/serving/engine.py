@@ -36,7 +36,6 @@ import numpy as np
 
 from repro.instrumentation.counters import Counters
 from repro.instrumentation.latency import LatencyWindow
-from repro.microcluster.murtree import DEFAULT_BLOCK_SIZE
 from repro.observability.adapters import (
     CountersCollector,
     LatencyWindowCollector,
@@ -47,7 +46,7 @@ from repro.observability.registry import (
     Sample,
     get_registry,
 )
-from repro.serving.predict import PredictResult, predict_model
+from repro.serving.predict import DEFAULT_BLOCK_SIZE, PredictResult, predict_model
 
 __all__ = ["QueryEngine", "PredictRow"]
 

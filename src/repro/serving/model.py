@@ -36,20 +36,17 @@ import numpy as np
 
 from repro._version import __version__
 from repro.core.extras import ExtraKeys
-from repro.core.mudbscan import run_mu_dbscan_state
+from repro.core.mudbscan import fit_state
 from repro.core.params import DBSCANParams
 from repro.core.result import ClusteringResult
-from repro.geometry.metrics import EUCLIDEAN, Metric, get_metric
+from repro.geometry.metrics import Metric, get_metric
 from repro.index.bulk import str_bulk_load
 from repro.index.grid import CenterGrid
 from repro.index.rtree import RTree
 from repro.instrumentation.counters import Counters
 from repro.instrumentation.timers import PhaseTimer
 from repro.microcluster.microcluster import MCKind, MicroCluster
-from repro.microcluster.murtree import DEFAULT_BLOCK_SIZE, MuRTree
-from repro.observability.adapters import publish_run
-from repro.observability.registry import get_registry
-from repro.observability.tracing import maybe_span
+from repro.microcluster.murtree import MuRTree
 
 __all__ = [
     "FittedModel",
@@ -420,16 +417,6 @@ class FittedModel:
             mc.freeze(self.points, eps, metric=metric)
             mc.reach_ids = self.reach_ids(mc_id).copy()
             mcs.append(mc)
-        # cached-mode reachable blocks, concatenated from stored lists
-        for mc in mcs:
-            rows = [mcs[int(w)].member_rows for w in mc.reach_ids]
-            rows = [r for r in rows if r is not None and r.size]
-            mc.reach_rows = (
-                np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-            )
-            mc.reach_points = np.ascontiguousarray(
-                self.points[mc.reach_rows], dtype=np.float64
-            )
         dim = max(self.dim, 1)
         level1 = RTree(dim, max_entries=64, counters=self.serving_counters)
         if mcs:
@@ -446,7 +433,6 @@ class FittedModel:
             mcs,
             level1,
             self.point_mc,
-            aux_index="cached",
             counters=self.serving_counters,
             metric=metric,
         )
@@ -580,47 +566,19 @@ def fit_model(
     points: np.ndarray,
     eps: float,
     min_pts: int,
-    *,
-    metric: str | Metric = EUCLIDEAN,
-    batch_queries: bool = True,
-    block_size: int = DEFAULT_BLOCK_SIZE,
     **mu_kwargs: Any,
 ) -> FittedModel:
     """Fit μDBSCAN and package the run as a :class:`FittedModel`.
 
     Accepts the same knobs as :func:`repro.core.mudbscan.mu_dbscan`
-    (including ``builder`` / ``builder_block_size``).  Float32 (or any
-    numeric) input is canonicalised to float64, the repo-wide
-    coordinate dtype.
+    (``metric``, ``defer_2eps``, ``dynamic_wndq``, ``max_entries``).
+    Float32 (or any numeric) input is canonicalised to float64, the
+    repo-wide coordinate dtype.
     """
     pts = np.ascontiguousarray(points, dtype=np.float64)
     params = DBSCANParams(eps=eps, min_pts=min_pts)
-    counters = Counters()
-    with maybe_span(
-        "fit", n=int(pts.shape[0]), eps=eps, min_pts=min_pts, engine="exact"
-    ):
-        state, timers = run_mu_dbscan_state(
-            pts,
-            params,
-            metric=metric,
-            batch_queries=batch_queries,
-            block_size=block_size,
-            counters=counters,
-            **mu_kwargs,
-        )
-    publish_run(get_registry(), counters, timers, algorithm="mu_dbscan")
-    murtree = state.murtree
-    kind_counts = {kind.name: 0 for kind in MCKind}
-    for mc in murtree.mcs:
-        kind_counts[mc.kind(params.min_pts).name] += 1
-    extras = {
-        ExtraKeys.N_MICRO_CLUSTERS: murtree.n_micro_clusters,
-        ExtraKeys.AVG_MC_SIZE: murtree.avg_mc_size,
-        ExtraKeys.N_WNDQ_CORE: len(state.wndq_corelist),
-        ExtraKeys.MC_KIND_COUNTS: kind_counts,
-        ExtraKeys.METRIC: murtree.metric.name,
-        ExtraKeys.FIT_SECONDS: timers.total(),
-    }
+    state, timers, extras = fit_state(pts, params, **mu_kwargs)
+    extras[ExtraKeys.FIT_SECONDS] = timers.total()
     return FittedModel.from_state(state, extras=extras)
 
 

@@ -62,10 +62,13 @@ import numpy as np
 
 from repro.geometry.metrics import EUCLIDEAN, Metric, get_metric
 from repro.instrumentation.counters import Counters
-from repro.microcluster.murtree import DEFAULT_BLOCK_SIZE
 from repro.observability.tracing import maybe_span
 
-__all__ = ["PredictResult", "predict_model", "brute_predict"]
+__all__ = ["PredictResult", "predict_model", "brute_predict", "DEFAULT_BLOCK_SIZE"]
+
+#: default query rows per predict block — bounds the transient
+#: ``block_size x |members|`` score matrix (see docs/TUNING.md)
+DEFAULT_BLOCK_SIZE = 1024
 
 #: sentinel "no core neighbor" row — larger than any real dataset row
 _NO_ROW = np.iinfo(np.int64).max

@@ -59,7 +59,7 @@ from repro.instrumentation.counters import Counters
 from repro.instrumentation.timers import PhaseTimer
 from repro.microcluster.builder import DEFAULT_BUILDER_BLOCK_SIZE, build_micro_clusters
 from repro.microcluster.microcluster import MCKind
-from repro.microcluster.reachability import compute_reachable_batched
+from repro.microcluster.reachability import compute_reachable
 from repro.observability.adapters import publish_run
 from repro.observability.registry import get_registry
 from repro.observability.tracing import maybe_span
@@ -106,12 +106,6 @@ class StreamingMuDBSCAN:
         :class:`~repro.geometry.metrics.Metric` instance.
     window:
         Maximum live points (``None`` = unbounded; no expiry).
-    builder / builder_block_size:
-        Neighborhood-sweep strategy, honoured by *every* update batch
-        (not just the bulk seed): ``"grid"`` sweeps each batch in
-        vectorized blocks of ``builder_block_size`` rows through the
-        stable pairwise kernel; ``"scan"`` is the per-point reference
-        loop.  Identical results either way.
     compact_every:
         Compact after this many update calls (``None`` = only on the
         degeneracy trigger below, or manually).
@@ -134,8 +128,6 @@ class StreamingMuDBSCAN:
         metric: str | Metric = "euclidean",
         window: int | None = None,
         max_entries: int = 64,
-        builder: str = "grid",
-        builder_block_size: int = DEFAULT_BUILDER_BLOCK_SIZE,
         compact_every: int | None = None,
         compact_dirty_fraction: float = 0.25,
     ) -> None:
@@ -144,14 +136,10 @@ class StreamingMuDBSCAN:
             raise ValueError(f"dim must be >= 1, got {dim}")
         if window is not None and window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
-        if builder not in ("grid", "scan"):
-            raise ValueError(f"unknown builder {builder!r}")
         self.dim = dim
         self.metric = get_metric(metric)
         self.window = window
         self.max_entries = max_entries
-        self.builder = builder
-        self.builder_block_size = int(builder_block_size)
         self.compact_every = compact_every
         self.compact_dirty_fraction = float(compact_dirty_fraction)
         self.counters = Counters()
@@ -324,10 +312,9 @@ class StreamingMuDBSCAN:
     ) -> dict[int, Any]:
         """ε-neighborhoods (strict <, self included) of live ``rows``.
 
-        Grouped by owning MC; ``builder="grid"`` sweeps each group in
-        ``builder_block_size`` blocks through the stable pairwise
-        kernel (bit-identical to the per-point path), ``"scan"`` runs
-        the per-point reference loop.
+        Grouped by owning MC; each group is swept in blocks through the
+        stable pairwise kernel, whose rows are bit-identical to
+        per-point distances.
         """
         metric = self.metric
         thr = metric.threshold(self.params.eps)
@@ -340,15 +327,8 @@ class StreamingMuDBSCAN:
             cpts = pts[cand]
             self.counters.queries_run += len(group)
             self.counters.dist_calcs += len(group) * cand.shape[0]
-            if self.builder == "scan":
-                for r in group:
-                    raw = metric.raw_to_point(cpts, pts[r])
-                    mask = raw < thr
-                    out[r] = (cand[mask], raw[mask]) if with_raw else cand[mask]
-                continue
-            block = max(1, self.builder_block_size)
-            for start in range(0, len(group), block):
-                blk = group[start : start + block]
+            for start in range(0, len(group), DEFAULT_BUILDER_BLOCK_SIZE):
+                blk = group[start : start + DEFAULT_BUILDER_BLOCK_SIZE]
                 raw = metric.raw_pairwise_stable(pts[blk], cpts)
                 for i, r in enumerate(blk):
                     mask = raw[i] < thr
@@ -544,10 +524,8 @@ class StreamingMuDBSCAN:
             max_entries=self.max_entries,
             counters=self.counters,
             metric=self.metric,
-            builder=self.builder,
-            block_size=self.builder_block_size,
         )
-        compute_reachable_batched(mcs, self.params.eps, self.counters, self.metric)
+        compute_reachable(mcs, self.params.eps, self.counters, self.metric)
         self._tree = tree
         self._point_mc[: pts.shape[0]] = point_mc
         self._members = [list(map(int, mc.member_rows)) for mc in mcs]
@@ -908,8 +886,6 @@ class StreamingMuDBSCAN:
                     ExtraKeys.ENGINE: "streaming",
                     ExtraKeys.ENGINE_OPTIONS: {
                         "window": self.window,
-                        "builder": self.builder,
-                        "builder_block_size": self.builder_block_size,
                         "compact_every": self.compact_every,
                         "compact_dirty_fraction": self.compact_dirty_fraction,
                     },
@@ -1055,7 +1031,7 @@ class StreamingMuDBSCAN:
                 "created_unix": _time.time(),
                 "repro_version": __version__,
                 "engine": "streaming",
-                "engine_options": {"window": self.window, "builder": self.builder},
+                "engine_options": {"window": self.window},
                 "stream": {
                     "n_inserted_total": self.n_inserted_total,
                     "n_deleted_total": self.n_deleted_total,

@@ -38,39 +38,37 @@ class TestFacade:
         assert via_facade.extras[ExtraKeys.N_RANKS] == 2
 
     def test_fit_forwards_options(self, small_blobs):
-        res = fit(small_blobs, eps=0.08, min_pts=6, batch_queries=False)
+        res = fit(small_blobs, eps=0.08, min_pts=6, dynamic_wndq=False)
         baseline = mu_dbscan(small_blobs, eps=0.08, min_pts=6)
         np.testing.assert_array_equal(res.labels, baseline.labels)
+        # the ablation really reached Algorithm 6: more queries run
+        assert res.counters.queries_run > baseline.counters.queries_run
 
     def test_fit_forwards_builder_options(self, small_blobs):
         baseline = mu_dbscan(small_blobs, eps=0.08, min_pts=6)
-        res = fit(
-            small_blobs, eps=0.08, min_pts=6,
-            builder="scan", builder_block_size=64,
-        )
-        # builder choice only changes how MCs are built, never the MCs
-        # themselves — same count on every path
-        assert (
-            res.extras[ExtraKeys.N_MICRO_CLUSTERS]
-            == baseline.extras[ExtraKeys.N_MICRO_CLUSTERS]
-        )
-        # a bogus builder is rejected, proving the keyword really
-        # reaches the micro-cluster layer
-        with pytest.raises(ValueError, match="builder"):
-            fit(small_blobs, eps=0.08, min_pts=6, builder="nope")
+        res = fit(small_blobs, eps=0.08, min_pts=6, defer_2eps=False, max_entries=4)
+        # the micro-cluster builder saw both: no deferral, and a node
+        # capacity below the first-level tree's floor is rejected there
+        assert res.counters.deferred_points == 0 < baseline.counters.deferred_points
+        np.testing.assert_array_equal(res.labels, baseline.labels)
+        with pytest.raises(ValueError, match="max_entries"):
+            fit(small_blobs, eps=0.08, min_pts=6, max_entries=3)
 
     @pytest.mark.parametrize(
         "keyword",
         ["engine", "engine_options", "sample_fraction", "selection",
-         "link_factor", "seed", "minpts", "min_samples"],
+         "link_factor", "seed", "minpts", "min_samples",
+         "builder", "builder_block_size", "batch_queries", "block_size",
+         "aux_index", "filtration", "aux_bulk"],
     )
     def test_retired_keywords_are_unknown(self, small_blobs, keyword):
-        from repro import MuDBSCAN, fit_model
+        from repro import MuDBSCAN, fit_model, stream
 
         for call in (
             lambda: fit(small_blobs, 0.08, 6, **{keyword: 1}),
             lambda: fit_model(small_blobs, 0.08, 6, **{keyword: 1}),
             lambda: MuDBSCAN(0.08, 6, **{keyword: 1}),
+            lambda: stream(0.08, 6, **{keyword: 1}),
         ):
             with pytest.raises(TypeError, match=keyword):
                 call()

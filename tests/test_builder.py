@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.data.registry import dataset_names, load_dataset
 from repro.geometry.distance import sq_dists_to_point
 from repro.geometry.metrics import CHEBYSHEV, EUCLIDEAN, MANHATTAN
+from repro.geometry.regions import sphere_intersects_rects
 from repro.instrumentation.counters import Counters
 from repro.microcluster.builder import build_micro_clusters
 
@@ -82,47 +83,93 @@ class TestBuildMicroClusters:
             build_micro_clusters(np.zeros((2, 2)), eps=0.0)
         with pytest.raises(ValueError, match=r"\(n, d\)"):
             build_micro_clusters(np.zeros(4), eps=1.0)
-        with pytest.raises(ValueError, match="builder"):
-            build_micro_clusters(np.zeros((2, 2)), eps=1.0, builder="fast")
         with pytest.raises(ValueError, match="block_size"):
             build_micro_clusters(np.zeros((2, 2)), eps=1.0, block_size=0)
 
 
+def _reference_build(pts, eps, *, metric=EUCLIDEAN, defer_2eps=True):
+    """Per-point Algorithm 3, the oracle for the batched sweep.
+
+    Each point, in scan order, tests every earlier center with the
+    first-level tree's leaf predicate (the ball of the search radius
+    touches the center's ε-box), charges one distance per candidate,
+    joins the nearest candidate strictly within ε (lowest id on exact
+    ties), is deferred when the nearest is within 2ε, or founds an MC.
+    A second pass places the deferred points without deferral.
+    Returns ``(point_mc, center_rows, members, counters)``.
+    """
+    pts = np.asarray(pts, dtype=np.float64)
+    n, dim = pts.shape
+    cover = metric.l2_cover_factor(dim)
+    eps_raw, two_eps_raw = metric.threshold(eps), metric.threshold(2.0 * eps)
+    counters = Counters()
+    point_mc = np.full(n, -1, dtype=np.int64)
+    center_rows: list[int] = []
+    members: list[list[int]] = []
+    deferred: list[int] = []
+
+    def nearest(row, radius):
+        if not center_rows:
+            return 0, np.inf, -1
+        centers = pts[center_rows]
+        cand = np.flatnonzero(
+            sphere_intersects_rects(pts[row], radius, centers - eps, centers + eps)
+        )
+        counters.dist_calcs += cand.size
+        if not cand.size:
+            return 0, np.inf, -1
+        raw = metric.raw_to_point(centers[cand], pts[row])
+        best = int(np.argmin(raw))  # first minimum = lowest id
+        return cand.size, raw[best], int(cand[best])
+
+    def place(row, radius, defer):
+        count, best_raw, best_id = nearest(row, radius)
+        if count and best_raw < eps_raw:
+            members[best_id].append(row)
+            point_mc[row] = best_id
+        elif defer and count and best_raw < two_eps_raw:
+            deferred.append(row)
+            counters.deferred_points += 1
+        else:
+            point_mc[row] = len(center_rows)
+            center_rows.append(row)
+            members.append([row])
+            counters.micro_clusters += 1
+
+    for row in range(n):
+        place(row, (2.0 * eps if defer_2eps else eps) * cover, defer_2eps)
+    for row in deferred:
+        place(row, eps * cover, False)
+    return point_mc, center_rows, members, counters
+
+
 def _assert_builders_identical(pts, eps, *, metric=EUCLIDEAN, defer_2eps=True, block_size=4096):
-    """Run both builders and require bit-identical structures + counters."""
-    c_scan, c_grid = Counters(), Counters()
-    scan_mcs, scan_tree, scan_pm = build_micro_clusters(
-        pts, eps, counters=c_scan, defer_2eps=defer_2eps, metric=metric, builder="scan"
+    """Run the builder and the per-point reference; require identical
+    assignments, MC membership order and counters."""
+    ref_pm, ref_centers, ref_members, c_ref = _reference_build(
+        pts, eps, metric=metric, defer_2eps=defer_2eps
     )
+    c_grid = Counters()
     grid_mcs, grid_tree, grid_pm = build_micro_clusters(
         pts,
         eps,
         counters=c_grid,
         defer_2eps=defer_2eps,
         metric=metric,
-        builder="grid",
         block_size=block_size,
     )
-    assert np.array_equal(scan_pm, grid_pm)
-    assert len(scan_mcs) == len(grid_mcs)
-    for a, b in zip(scan_mcs, grid_mcs):
-        assert a.mc_id == b.mc_id
-        assert a.center_row == b.center_row
-        assert np.array_equal(a.member_rows, b.member_rows)  # order included
-        assert np.array_equal(a.member_points, b.member_points)
-        assert np.array_equal(a.ic_rows, b.ic_rows)
-        assert np.array_equal(a.mbr_low, b.mbr_low)
-        assert np.array_equal(a.mbr_high, b.mbr_high)
+    assert np.array_equal(ref_pm, grid_pm)
+    assert [mc.center_row for mc in grid_mcs] == ref_centers
+    for mc, rows in zip(grid_mcs, ref_members):
+        assert mc.member_rows.tolist() == rows  # order included
     for field in ("dist_calcs", "deferred_points", "micro_clusters"):
-        assert getattr(c_scan, field) == getattr(c_grid, field), field
-    # same MC boxes in the first-level tree (node layout may differ:
-    # dynamic Guttman inserts vs one STR pack)
-    assert sorted(scan_tree.iter_payloads()) == sorted(grid_tree.iter_payloads())
+        assert getattr(c_ref, field) == getattr(c_grid, field), field
+    assert sorted(grid_tree.iter_payloads()) == list(range(len(ref_centers)))
     return grid_mcs
 
 
 class TestGridBuilderParity:
-    """The grid-hash builder must be bit-for-bit the scan builder."""
+    """The grid-hash builder must be bit-for-bit the per-point scan."""
 
     @pytest.mark.parametrize("name", dataset_names())
     def test_registry_euclidean(self, name):
@@ -162,7 +209,7 @@ class TestGridBuilderParity:
         *exactly* k·ε/4 apart per axis, so join-vs-defer-vs-create
         verdicts hinge on the last ulp of the distance computation —
         precisely where a shape-dependent batched kernel would diverge
-        from the per-point scan.
+        from the per-point reference.
         """
         eps = 0.25 * scale_num
         rng = np.random.default_rng(seed)
@@ -202,7 +249,7 @@ class TestIntraBlockFixup:
     def test_deferral_happened(self, crafted):
         pts, eps = crafted
         counters = Counters()
-        build_micro_clusters(pts, eps, counters=counters, builder="grid")
+        build_micro_clusters(pts, eps, counters=counters)
         assert counters.deferred_points == 1
         assert counters.micro_clusters == 3
 

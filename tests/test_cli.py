@@ -88,6 +88,34 @@ class TestCLI:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "m.mudb").exists()
 
+    @pytest.mark.parametrize(
+        "command", ["run", "compare", "distributed", "fit", "stream"]
+    )
+    @pytest.mark.parametrize(
+        "flag",
+        [["--builder", "grid"], ["--builder-block-size", "64"],
+         ["--no-batch-queries"], ["--block-size", "64"]],
+    )
+    def test_fit_path_flags_are_gone(self, tmp_path, capsys, command, flag):
+        argv = [command, "--dataset", "3DSRN", "--scale", "0.04", *flag]
+        if command == "fit":
+            argv += ["--save", str(tmp_path / "m.mudb")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "m.mudb").exists()
+
+    @pytest.mark.parametrize("command", ["predict", "serve"])
+    def test_serving_block_size_stays(self, command):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(
+            [command, "--model", "m.mudb", "--block-size", "8"]
+            + (["--input", "q.npy"] if command == "predict" else [])
+        )
+        assert args.block_size == 8
+
     def test_compare_exact_returns_zero(self):
         assert main(["compare", "--dataset", "3DSRN", "--scale", "0.1"]) == 0
 

@@ -6,6 +6,7 @@ import pytest
 from repro import MuDBSCAN, brute_dbscan, check_exact, mu_dbscan
 from repro.core.params import DBSCANParams
 from repro.data.synthetic import blobs_with_noise, gaussian_blobs, uniform_box
+from repro.geometry.distance import sq_dists_to_point
 
 
 class TestExactness:
@@ -73,20 +74,31 @@ class TestExactness:
         res = mu_dbscan(small_blobs, 1e-9, 3)
         assert check_exact(res, ref, points=small_blobs).ok
 
-    @pytest.mark.parametrize("aux_index", ["flat", "rtree"])
-    @pytest.mark.parametrize("filtration", [True, False])
     @pytest.mark.parametrize("defer_2eps", [True, False])
     @pytest.mark.parametrize("dynamic_wndq", [True, False])
-    def test_exact_under_all_ablations(
-        self, small_blobs, aux_index, filtration, defer_2eps, dynamic_wndq
-    ):
+    def test_exact_under_ablations(self, small_blobs, defer_2eps, dynamic_wndq):
         ref = brute_dbscan(small_blobs, 0.08, 5)
         res = mu_dbscan(
-            small_blobs, 0.08, 5,
-            aux_index=aux_index, filtration=filtration,
-            defer_2eps=defer_2eps, dynamic_wndq=dynamic_wndq,
+            small_blobs, 0.08, 5, defer_2eps=defer_2eps, dynamic_wndq=dynamic_wndq
         )
         assert check_exact(res, ref, points=small_blobs).ok
+
+    def test_eps_boundary_pair_is_two_cores(self):
+        """Two points 0.05 apart in x whose direct-form squared distance
+        (0.0024999999999955) is just below ε² = 0.0025: each is the
+        other's ε-neighbor, so with MinPts=2 both are core and form one
+        cluster.  The BLAS norm-expansion kernel rounds the pair onto
+        the wrong side of ε², so the direct form is the reference here.
+        """
+        pts = np.array([[1000.0375, 1000.0, 1000.0], [1000.0875, 1000.0, 1000.0]])
+        eps, min_pts = 0.05, 2
+        counts = [
+            int(np.count_nonzero(sq_dists_to_point(pts, p) < eps * eps)) for p in pts
+        ]
+        assert counts == [2, 2]
+        res = mu_dbscan(pts, eps, min_pts)
+        assert res.core_mask.tolist() == [True, True]
+        assert res.labels.tolist() == [0, 0]
 
 
 class TestQuerySavings:
@@ -175,16 +187,12 @@ class TestEstimatorAPI:
 
     def test_get_params_round_trip(self, small_blobs):
         est = MuDBSCAN(
-            eps=0.08, min_pts=6, aux_index="flat", filtration=False,
-            defer_2eps=False, dynamic_wndq=False, batch_queries=False,
-            block_size=32, builder="scan", builder_block_size=64,
+            eps=0.08, min_pts=6, defer_2eps=False, dynamic_wndq=False,
             max_entries=16, metric="manhattan",
         )
         params = est.get_params()
         assert list(params) == [
-            "eps", "min_pts", "aux_index", "filtration", "defer_2eps",
-            "dynamic_wndq", "batch_queries", "block_size", "builder",
-            "builder_block_size", "max_entries", "metric",
+            "eps", "min_pts", "defer_2eps", "dynamic_wndq", "max_entries", "metric",
         ]
         clone = MuDBSCAN(**params)
         assert clone.get_params() == params
@@ -198,8 +206,8 @@ class TestEstimatorAPI:
     def test_repr_shows_non_defaults_only(self):
         plain = repr(MuDBSCAN(eps=0.08, min_pts=6))
         assert plain == "MuDBSCAN(eps=0.08, min_pts=6)"
-        tuned = repr(MuDBSCAN(eps=0.08, min_pts=6, builder="scan"))
-        assert tuned == "MuDBSCAN(eps=0.08, min_pts=6, builder='scan')"
+        tuned = repr(MuDBSCAN(eps=0.08, min_pts=6, defer_2eps=False))
+        assert tuned == "MuDBSCAN(eps=0.08, min_pts=6, defer_2eps=False)"
 
 
 class TestParams:
@@ -250,35 +258,34 @@ class TestPinnedGateWorkload:
 
 
 class TestExecutionPathParity:
-    """Builder, query batching and aux index are execution strategies:
-    every combination gives the same labels, cores and Table II
-    counters.  ``dist_calcs`` depends on how the aux index prunes, so it
-    is compared within one aux index."""
+    """The fit's entry points — ``mu_dbscan``, ``repro.fit``,
+    ``fit_model`` and the ``MuDBSCAN`` estimator — run one code path:
+    the same labels, cores, Table II counters and extras, exact against
+    the brute-force oracle."""
 
-    COUNTERS = ("queries_run", "queries_saved", "unions", "micro_clusters")
+    COUNTERS = (
+        "queries_run", "queries_saved", "dist_calcs", "unions",
+        "micro_clusters", "deferred_points",
+    )
 
     @pytest.mark.parametrize("seed", [3, 101])
     def test_all_paths_agree(self, seed):
+        from repro import fit, fit_model
+
         pts = blobs_with_noise(1500, 2, 5, noise_fraction=0.25, seed=seed)
         ref = mu_dbscan(pts, 0.06, 8)
         assert check_exact(ref, brute_dbscan(pts, 0.06, 8), points=pts).ok
-        for aux_index in ("cached", "flat", "rtree"):
-            dist_calcs = set()
-            for builder in ("grid", "scan"):
-                for batch_queries in (True, False):
-                    res = mu_dbscan(
-                        pts,
-                        0.06,
-                        8,
-                        builder=builder,
-                        batch_queries=batch_queries,
-                        aux_index=aux_index,
-                    )
-                    case = str((builder, batch_queries, aux_index))
-                    np.testing.assert_array_equal(res.labels, ref.labels, err_msg=case)
-                    np.testing.assert_array_equal(res.core_mask, ref.core_mask, err_msg=case)
-                    for name in self.COUNTERS:
-                        got, want = getattr(res.counters, name), getattr(ref.counters, name)
-                        assert got == want, (case, name)
-                    dist_calcs.add(res.counters.dist_calcs)
-            assert len(dist_calcs) == 1, (aux_index, dist_calcs)
+        model = fit_model(pts, 0.06, 8)
+        est = MuDBSCAN(0.06, 8).fit(pts)
+        for case, res in (("fit", fit(pts, 0.06, 8)), ("estimator", est.result_)):
+            assert res.fingerprint() == ref.fingerprint(), case
+            assert res.extras == ref.extras, case
+            for name in self.COUNTERS:
+                assert getattr(res.counters, name) == getattr(ref.counters, name), (
+                    case, name,
+                )
+        np.testing.assert_array_equal(model.labels, ref.labels)
+        np.testing.assert_array_equal(model.core_mask, ref.core_mask)
+        for name in self.COUNTERS:
+            assert getattr(model.counters, name) == getattr(ref.counters, name), name
+        assert {k: v for k, v in model.extras.items() if k != "fit_seconds"} == ref.extras

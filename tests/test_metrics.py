@@ -84,13 +84,12 @@ class TestMetricPrimitives:
 
 class TestMetricExactness:
     @pytest.mark.parametrize("metric_name", ["manhattan", "chebyshev"])
-    @pytest.mark.parametrize("aux_index", ["cached", "flat"])
-    def test_mu_dbscan_exact_under_metric(self, metric_name, aux_index):
+    def test_mu_dbscan_exact_under_metric(self, metric_name):
         pts = blobs_with_noise(350, 3, 4, noise_fraction=0.3, seed=70)
         ref = brute_dbscan(pts, 0.15, 5, metric=metric_name)
-        res = mu_dbscan(pts, 0.15, 5, metric=metric_name, aux_index=aux_index)
+        res = mu_dbscan(pts, 0.15, 5, metric=metric_name)
         report = check_exact(res, ref, points=pts, metric=metric_name)
-        assert report.ok, f"{metric_name}/{aux_index}: {report}"
+        assert report.ok, f"{metric_name}: {report}"
 
     @pytest.mark.parametrize("metric_name", ["manhattan", "chebyshev"])
     def test_definition_holds_under_metric(self, metric_name):
@@ -112,11 +111,6 @@ class TestMetricExactness:
         pts = blobs_with_noise(120, 2, 2, seed=73)
         res = mu_dbscan(pts, 0.1, 4, metric="manhattan")
         assert res.extras["metric"] == "manhattan"
-
-    def test_rtree_aux_mode_rejects_non_euclidean(self):
-        pts = blobs_with_noise(50, 2, 2, seed=74)
-        with pytest.raises(ValueError, match="euclidean metric only"):
-            mu_dbscan(pts, 0.1, 4, metric="manhattan", aux_index="rtree")
 
     def test_estimator_accepts_metric(self):
         from repro import MuDBSCAN

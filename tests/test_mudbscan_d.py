@@ -52,11 +52,17 @@ class TestExactness:
         b = mu_dbscan_d(pts, 0.1, 5, n_ranks=4)
         np.testing.assert_array_equal(a.labels, b.labels)
 
-    def test_rtree_aux_mode(self):
+    def test_local_knobs_pass_through(self):
         pts = blobs_with_noise(300, 2, 3, noise_fraction=0.2, seed=106)
         ref = brute_dbscan(pts, 0.1, 5)
-        res = mu_dbscan_d(pts, 0.1, 5, n_ranks=2, aux_index="rtree")
+        default = mu_dbscan_d(pts, 0.1, 5, n_ranks=2)
+        res = mu_dbscan_d(pts, 0.1, 5, n_ranks=2, dynamic_wndq=False, defer_2eps=False)
         assert check_exact(res, ref, points=pts).ok
+        # both ablations reached every rank's local μDBSCAN
+        assert res.counters.queries_run > default.counters.queries_run
+        assert res.counters.deferred_points == 0 < default.counters.deferred_points
+        with pytest.raises(RuntimeError, match="builder"):
+            mu_dbscan_d(pts, 0.1, 5, n_ranks=2, builder="grid")
 
 
 class TestReporting:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.geometry.distance import neighbors_within, sq_dist
-from repro.instrumentation.counters import Counters
 from repro.microcluster.murtree import MuRTree
 
 
@@ -16,36 +15,14 @@ def murtree(small_blobs) -> MuRTree:
 
 
 class TestMuRTree:
-    def test_query_ball_exact_flat(self, small_blobs, murtree):
+    def test_query_ball_exact(self, small_blobs, murtree):
         for row in range(0, small_blobs.shape[0], 17):
             rows, sq = murtree.query_ball(row)
             expected = neighbors_within(small_blobs, small_blobs[row], 0.08)
             np.testing.assert_array_equal(np.sort(rows), np.sort(expected))
 
-    def test_query_ball_exact_rtree_mode(self, small_blobs):
-        tree = MuRTree(small_blobs, eps=0.08, aux_index="rtree")
-        tree.compute_reachability()
-        for row in range(0, small_blobs.shape[0], 23):
-            rows, _ = tree.query_ball(row)
-            expected = neighbors_within(small_blobs, small_blobs[row], 0.08)
-            np.testing.assert_array_equal(np.sort(rows), np.sort(expected))
-
-    def test_modes_agree(self, small_blobs):
-        flat = MuRTree(small_blobs, eps=0.08, aux_index="flat")
-        flat.compute_reachability()
-        rtree = MuRTree(small_blobs, eps=0.08, aux_index="rtree")
-        rtree.compute_reachability()
-        cached = MuRTree(small_blobs, eps=0.08, aux_index="cached")
-        cached.compute_reachability()
-        for row in range(0, small_blobs.shape[0], 11):
-            a, _ = flat.query_ball(row)
-            b, _ = rtree.query_ball(row)
-            c, _ = cached.query_ball(row)
-            np.testing.assert_array_equal(np.sort(a), np.sort(b))
-            np.testing.assert_array_equal(np.sort(a), np.sort(c))
-
     def test_cached_blocks_materialised(self, small_blobs):
-        tree = MuRTree(small_blobs, eps=0.08, aux_index="cached")
+        tree = MuRTree(small_blobs, eps=0.08)
         tree.compute_reachability()
         for mc in tree.mcs:
             assert mc.reach_rows is not None and mc.reach_points is not None
@@ -66,33 +43,6 @@ class TestMuRTree:
         with pytest.raises(RuntimeError, match="compute_reachability"):
             tree.query_ball(0)
 
-    def test_no_filtration_still_exact(self, small_blobs):
-        tree = MuRTree(small_blobs, eps=0.08, filtration=False)
-        tree.compute_reachability()
-        rows, _ = tree.query_ball(5)
-        expected = neighbors_within(small_blobs, small_blobs[5], 0.08)
-        np.testing.assert_array_equal(np.sort(rows), np.sort(expected))
-
-    def test_filtration_prunes_work(self, small_blobs):
-        # filtration is a flat/rtree-mode concept; cached mode trades it
-        # for one precomputed block per MC
-        c_filt = Counters()
-        t1 = MuRTree(
-            small_blobs, eps=0.08, aux_index="flat", filtration=True, counters=c_filt
-        )
-        t1.compute_reachability()
-        c_none = Counters()
-        t2 = MuRTree(
-            small_blobs, eps=0.08, aux_index="flat", filtration=False, counters=c_none
-        )
-        t2.compute_reachability()
-        d0_filt, d0_none = c_filt.dist_calcs, c_none.dist_calcs
-        for row in range(small_blobs.shape[0]):
-            t1.query_ball(row)
-            t2.query_ball(row)
-        assert (c_filt.dist_calcs - d0_filt) <= (c_none.dist_calcs - d0_none)
-        assert c_filt.extra.get("filtration_prunes", 0) > 0
-
     def test_custom_radius_query(self, small_blobs, murtree):
         # any radius up to eps is exact (reachability covers eps)
         rows, _ = murtree.query_ball(3, radius=0.04)
@@ -106,13 +56,12 @@ class TestMuRTree:
 
     def test_postprocessing_candidates_superset_of_ball(self, small_blobs, murtree):
         for row in range(0, small_blobs.shape[0], 31):
-            cands = set(murtree.candidates_for_postprocessing(row).tolist())
+            block = murtree.reachable_block(int(murtree.point_mc[row]))
+            cands = set(block.tolist())
             ball = set(neighbors_within(small_blobs, small_blobs[row], 0.08).tolist())
             assert ball <= cands
 
     def test_invalid_args(self, small_blobs):
-        with pytest.raises(ValueError, match="aux_index"):
-            MuRTree(small_blobs, eps=0.08, aux_index="hash")
         with pytest.raises(ValueError, match="eps"):
             MuRTree(small_blobs, eps=-1.0)
         tree = MuRTree(small_blobs, eps=0.08)

@@ -83,8 +83,6 @@ class TestInsertExactness:
             StreamingMuDBSCAN(eps=0.1, min_pts=3, dim=0)
         with pytest.raises(ValueError, match="window"):
             StreamingMuDBSCAN(eps=0.1, min_pts=3, window=0)
-        with pytest.raises(ValueError, match="builder"):
-            StreamingMuDBSCAN(eps=0.1, min_pts=3, builder="nope")
 
     def test_seed_requires_empty_stream(self):
         pts = uniform_box(50, 2, seed=60)
@@ -93,18 +91,12 @@ class TestInsertExactness:
         with pytest.raises(RuntimeError, match="empty stream"):
             inc.seed(pts[10:])
 
-    def test_builder_threads_through_post_seed_inserts(self):
+    def test_post_seed_inserts_exact(self):
         pts = blobs_with_noise(300, 2, 4, noise_fraction=0.2, seed=61)
-        for builder in ("grid", "scan"):
-            inc = StreamingMuDBSCAN(
-                eps=0.08, min_pts=5, builder=builder, builder_block_size=64
-            )
-            inc.partial_fit(pts[:150])
-            inc.partial_fit(pts[150:])
-            assert inc.builder == builder
-            assert check_exact(
-                inc.result(), brute_dbscan(pts, 0.08, 5), points=pts
-            ).ok
+        inc = StreamingMuDBSCAN(eps=0.08, min_pts=5)
+        inc.partial_fit(pts[:150])
+        inc.partial_fit(pts[150:])
+        assert check_exact(inc.result(), brute_dbscan(pts, 0.08, 5), points=pts).ok
 
 
 class TestDeleteExpiry:
